@@ -62,6 +62,7 @@ from .groupoid import (
 )
 from .holonomy import (
     HolonomyResult,
+    NoSuchObject,
     NotConnected,
     NotNondegenerate,
     holonomy,

@@ -19,7 +19,7 @@ from .complexes import ComplexError, CubicalComplex
 from .corpus import bundled_dir, random_corpus
 from .games import BoardMismatch, DegenerateBoard, grid_puzzle, puzzle_holonomy, reachable
 from .groupoid import Groupoid
-from .holonomy import NotConnected, holonomy, holonomy_group
+from .holonomy import NoSuchObject, NotConnected, holonomy, holonomy_group
 from .homcx import (
     TooLarge,
     complete_graph,
@@ -44,9 +44,9 @@ from .serialize import (
     perm_to_list,
 )
 
-INPUT_ERROR_TYPES = (ParseError, ComplexError, NotConnected, DegenerateBoard,
-                     BoardMismatch, NotRegular, InvalidConnection, TooLarge,
-                     ValueError, OSError)
+INPUT_ERROR_TYPES = (ParseError, ComplexError, NotConnected, NoSuchObject,
+                     DegenerateBoard, BoardMismatch, NotRegular, InvalidConnection,
+                     TooLarge, ValueError, OSError)
 
 
 def _digest(path: str | None) -> str | None:

@@ -15,8 +15,9 @@ sends the piece on 1 to 3, the piece on 3 to 2, and the piece on 2 to
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .complexes import CubicalComplex, SimplicialComplex
 from .groupoid import Groupoid
@@ -49,16 +50,25 @@ class Puzzle:
         if not self._connected():
             raise DegenerateBoard("board graph must be connected")
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbours of every cell, built once per board.
+
+        Not a field, so equality and hashing still see only the board."""
+        out: list[list[int]] = [[] for _ in range(self.cell_count)]
+        for a, b in self.edges:
+            out[a].append(b)
+            out[b].append(a)
+        return tuple(tuple(sorted(ns)) for ns in out)
+
     def _connected(self) -> bool:
         seen = {0}
-        queue = [0]
+        queue = deque([0])
         while queue:
-            u = queue.pop(0)
-            for a, b in self.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == u and y not in seen:
-                        seen.add(y)
-                        queue.append(y)
+            for v in self.adjacency[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
         return len(seen) == self.cell_count
 
     @property
@@ -66,13 +76,7 @@ class Puzzle:
         return self.cell_count - 1
 
     def neighbors(self, cell: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == cell:
-                out.append(b)
-            elif b == cell:
-                out.append(a)
-        return tuple(sorted(out))
+        return self.adjacency[cell]
 
 
 def grid_puzzle(m: int, n: int) -> Puzzle:
@@ -90,6 +94,13 @@ def grid_puzzle(m: int, n: int) -> Puzzle:
     return Puzzle(cell_count=m * n, edges=tuple(edges))
 
 
+@lru_cache(maxsize=4096)
+def _shared_pair(pair: tuple[str, int]) -> tuple[str, int]:
+    """One (label, cell) tuple per distinct pair, so that many states of
+    one board share their pairs instead of each holding its own."""
+    return pair
+
+
 @dataclass(frozen=True)
 class LabelledState:
     """A hole cell plus a bijection from piece labels to occupied cells."""
@@ -103,7 +114,7 @@ class LabelledState:
     @staticmethod
     def from_mapping(hole: int, placement: dict) -> "LabelledState":
         return LabelledState(hole=hole, placement=tuple(
-            (str(k), int(v)) for k, v in placement.items()))
+            _shared_pair((str(k), int(v))) for k, v in placement.items()))
 
     @property
     def cells(self) -> dict[str, int]:
@@ -158,12 +169,12 @@ def _apply_hole_path(board: Puzzle, occupancy: dict[int, str], path: list[int]) 
 def _hole_path(board: Puzzle, start: int, goal: int) -> list[int]:
     parent: dict[int, int] = {}
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         if u == goal:
             break
-        for v in board.neighbors(u):
+        for v in board.adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 parent[v] = u
@@ -210,6 +221,10 @@ def _puzzle_holonomy_cached(board: Puzzle, base_hole: int) -> PermGroup:
         for cell, piece in occ.items():
             images[slot_of[int(piece)]] = slot_of[cell]
         gens.append(Perm(tuple(images)))
+    # Tours that move the most pieces go first: they generate most of the
+    # group at once, so the chain keeps fewer tours and sifts the rest
+    # to the identity.
+    gens.sort(key=lambda p: sum(i != x for i, x in enumerate(p.images)), reverse=True)
     return schreier_sims(gens, degree=len(slots))
 
 
@@ -218,7 +233,8 @@ def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup:
 
     Generators come from closed hole tours along the fundamental cycles
     of the board graph; the group acts on piece slots, i.e. the
-    non-hole cells in increasing order.
+    non-hole cells in increasing order.  Its ``generators`` are the tours
+    that enlarged the group, those that move the most pieces first.
     """
     if not 0 <= base_hole < board.cell_count:
         raise BoardMismatch(f"no cell {base_hole}")

@@ -129,6 +129,9 @@ def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup:
     if not report:
         raise InvalidConnection(report.witness)
     graph = c.graph
+    if not 0 <= base < graph.vertex_count:
+        raise InvalidConnection(
+            f"base {base} is not a vertex; vertices are 0..{graph.vertex_count - 1}")
 
     parent: dict[int, int] = {}
     seen = {base}

@@ -28,6 +28,10 @@ class NotConnected(ValueError):
     """The dual multigraph is not connected."""
 
 
+class NoSuchObject(ValueError):
+    """The base is not an object of the groupoid."""
+
+
 class NotNondegenerate(ValueError):
     """The supplied vertex map is degenerate."""
 
@@ -111,6 +115,9 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     With ``require_connected`` unset, a disconnected dual graph yields
     the holonomy of the base's component.
     """
+    if not 0 <= base < g.object_count:
+        raise NoSuchObject(
+            f"base {base} is not an object; objects are 0..{g.object_count - 1}")
     parent, seen, _ = _spanning_tree(g, base, rng)
     if require_connected and len(seen) != g.object_count:
         raise NotConnected(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -29,8 +30,8 @@ class ClosureTooLarge(RuntimeError):
 # Raw tuple helpers used in hot loops.  images[i] is the image of point i.
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # apply a first, then b
-    return tuple(b[x] for x in a)
+    # apply a first, then b; itemgetter of a single index returns a bare item
+    return itemgetter(*a)(b) if len(a) > 1 else tuple(b[x] for x in a)
 
 
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -146,79 +147,116 @@ def closure_small(gens: Iterable[Perm], degree: int | None = None,
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, the generators of
-    the stabilizer of all earlier base points, and a transversal mapping
-    each orbit point gamma to an element u with u(beta) == gamma."""
+    """One level of a stabilizer chain: a base point beta and, for each
+    point gamma of its orbit, the inverse of a coset representative u
+    with u(beta) == gamma.  Sifting needs nothing else."""
 
-    __slots__ = ("beta", "gens", "transversal")
+    __slots__ = ("beta", "inverses")
+
+    def __init__(self, beta: int, inverses: dict[int, tuple[int, ...]]):
+        self.beta = beta
+        self.inverses = inverses
+
+
+class _GrowingLevel:
+    """A level while its chain is built.
+
+    Its strong generators and its orbit only ever grow: a new point is
+    appended with its representative and that representative's inverse,
+    and no point ever changes its representative.  ``checked[k]`` counts
+    the generators whose Schreier generator at ``orbit[k]`` has been
+    sifted, so each (orbit point, generator) pair is sifted once.
+    """
+
+    __slots__ = ("beta", "gens", "gen_inverses", "orbit", "reps", "inverses", "checked")
 
     def __init__(self, beta: int, degree: int):
+        ident = tuple(range(degree))
         self.beta = beta
         self.gens: list[tuple[int, ...]] = []
-        self.transversal: dict[int, tuple[int, ...]] = {beta: tuple(range(degree))}
+        self.gen_inverses: list[tuple[int, ...]] = []
+        self.orbit = [beta]
+        self.reps = {beta: ident}
+        self.inverses = {beta: ident}
+        self.checked = [0]
 
-    def rebuild(self, degree: int) -> None:
-        tr = {self.beta: tuple(range(degree))}
-        queue = [self.beta]
-        while queue:
-            gamma = queue.pop(0)
-            u = tr[gamma]
-            for s in self.gens:
+    def add(self, s: tuple[int, ...]) -> None:
+        """Append a strong generator and extend the orbit in place."""
+        self.gens.append(s)
+        self.gen_inverses.append(_inv(s))
+        orbit, reps, inverses = self.orbit, self.reps, self.inverses
+        # the old points meet only s; every new point meets all generators
+        old = len(orbit)
+        pairs = [(s, self.gen_inverses[-1])]
+        k = 0
+        while k < len(orbit):
+            if k == old:
+                pairs = list(zip(self.gens, self.gen_inverses))
+            gamma = orbit[k]
+            for t, t_inv in pairs:
+                delta = t[gamma]
+                if delta not in reps:
+                    orbit.append(delta)
+                    reps[delta] = _mul(reps[gamma], t)
+                    inverses[delta] = _mul(t_inv, inverses[gamma])
+                    self.checked.append(0)
+            k += 1
+
+    def sift_pending(self, chain: list[_GrowingLevel], i: int):
+        """Sift the Schreier generators of this level (level ``i``) not
+        yet sifted through the levels below it.  Returns the first
+        residue that is not the identity with the level it stopped at,
+        or None when every pair passes."""
+        gens, reps, inverses, checked = self.gens, self.reps, self.inverses, self.checked
+        ident = self.reps[self.beta]
+        for k, gamma in enumerate(self.orbit):
+            done = checked[k]
+            if done == len(gens):
+                continue
+            u = reps[gamma]
+            for m in range(done, len(gens)):
+                checked[k] = m + 1
+                s = gens[m]
+                us = _mul(u, s)
                 delta = s[gamma]
-                if delta not in tr:
-                    tr[delta] = _mul(u, s)
-                    queue.append(delta)
-        self.transversal = tr
+                if us == reps[delta]:
+                    continue
+                residue, j = _sift(chain, _mul(us, inverses[delta]), i + 1)
+                if residue != ident:
+                    return residue, j
+        return None
 
 
-def _is_identity(p: tuple[int, ...]) -> bool:
-    return all(i == x for i, x in enumerate(p))
-
-
-def _sift(chain: list[_Level] | tuple[_Level, ...], p: tuple[int, ...], start: int = 0):
+def _sift(chain: Sequence[_Level | _GrowingLevel], p: tuple[int, ...], start: int = 0):
     """Strip p through the chain; returns (residue, level reached)."""
-    lvl = start
-    while lvl < len(chain):
+    for lvl in range(start, len(chain)):
         level = chain[lvl]
-        gamma = p[level.beta]
-        u = level.transversal.get(gamma)
-        if u is None:
+        u_inv = level.inverses.get(p[level.beta])
+        if u_inv is None:
             return p, lvl
-        p = _mul(p, _inv(u))
-        lvl += 1
+        p = _mul(p, u_inv)
     return p, len(chain)
 
 
-def _verify_level(chain: list[_Level], i: int, degree: int) -> int | None:
-    """Sift every Schreier generator of level i through the deeper chain.
-
-    On the first failure the residue joins the generator lists of levels
-    i+1 .. j (creating level j when needed) and j is returned so the
-    caller can re-verify from there.  Returns None when the level is
-    clean, which by Schreier's lemma pins the stabilizer exactly.
-    """
-    level = chain[i]
-    level.rebuild(degree)
-    for gamma in sorted(level.transversal):
-        u = level.transversal[gamma]
-        for s in level.gens:
-            v = level.transversal[s[gamma]]
-            schreier = _mul(_mul(u, s), _inv(v))
-            residue, j = _sift(chain, schreier, i + 1)
-            if _is_identity(residue):
-                continue
-            if j == len(chain):
-                beta = next(p for p, x in enumerate(residue) if x != p)
-                chain.append(_Level(beta, degree))
-            for m in range(i + 1, j + 1):
-                chain[m].gens.append(residue)
-            return j
-    return None
+def _add_strong(chain: list[_GrowingLevel], residue: tuple[int, ...],
+                first: int, last: int, degree: int) -> None:
+    """Give a residue that fixes the base points before level ``last`` to
+    levels first..last, opening level ``last`` when the chain is that short."""
+    if last == len(chain):
+        beta = next(p for p, x in enumerate(residue) if x != p)
+        chain.append(_GrowingLevel(beta, degree))
+    for level in chain[first:last + 1]:
+        level.add(residue)
 
 
 @dataclass(frozen=True)
 class PermGroup:
     """Permutation group carried by a base and strong generating set.
+
+    ``generators`` holds the input generators that enlarged the group
+    when :func:`schreier_sims` added them, in input order: a subset of
+    the input that generates the same group, without duplicates, the
+    identity or any generator already in the group of those before it.
 
     Built once by :func:`schreier_sims`; afterwards every query is
     read-only, so instances are safe to share between threads.
@@ -232,7 +270,7 @@ class PermGroup:
     def order(self) -> int:
         n = 1
         for level in self.chain:
-            n *= len(level.transversal)
+            n *= len(level.inverses)
         return n
 
     @property
@@ -242,14 +280,25 @@ class PermGroup:
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(f"{p.degree} vs {self.degree}")
-        residue, _ = _sift(list(self.chain), p.images)
+        residue, _ = _sift(self.chain, p.images)
         return all(i == x for i, x in enumerate(residue))
 
 
 def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
-    """Deterministic Schreier-Sims: exact order and membership tests.
+    """Deterministic incremental Schreier-Sims: exact order and
+    membership tests.
 
-    No randomization; identical input always yields the identical chain.
+    The input generators are added one at a time.  Each is first sifted
+    through the chain of those before it; one that sifts to the identity
+    already lies in their group and is skipped.  Otherwise its residue
+    joins the strong generators, and the chain is completed again from
+    the deepest level it reached upwards, sifting each Schreier generator
+    once (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 4.4).  The returned group's ``generators`` are the input
+    generators that were not skipped, in input order.
+
+    No randomization; identical input always yields the identical chain
+    and the identical ``generators``.
     """
     gens = tuple(gens)
     if degree is None:
@@ -258,21 +307,26 @@ def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise DegreeMismatch("mixed degrees in generating set")
-    raw = [g.images for g in gens if not g.is_identity()]
-    chain: list[_Level] = []
-    if raw:
-        beta0 = next(p for p in range(degree) if any(g[p] != p for g in raw))
-        first = _Level(beta0, degree)
-        first.gens = list(raw)
-        chain.append(first)
-        i = 0
+    ident = tuple(range(degree))
+    chain: list[_GrowingLevel] = []
+    kept = []
+    for g in gens:
+        residue, j = _sift(chain, g.images)
+        if residue == ident:
+            continue
+        kept.append(g)
+        _add_strong(chain, residue, 0, j, degree)
+        i = j
         while i >= 0:
-            failed_at = _verify_level(chain, i, degree)
-            if failed_at is None:
+            failed = chain[i].sift_pending(chain, i)
+            if failed is None:
                 i -= 1
             else:
-                i = failed_at
-    return PermGroup(degree=degree, generators=gens, chain=tuple(chain))
+                residue, j = failed
+                _add_strong(chain, residue, i + 1, j, degree)
+                i = j
+    return PermGroup(degree=degree, generators=tuple(kept),
+                     chain=tuple(_Level(level.beta, level.inverses) for level in chain))
 
 
 def contains(group: PermGroup, p: Perm) -> bool:

@@ -104,6 +104,28 @@ def test_connection_command(capsys):
     assert results["order"] == "1"
 
 
+
+@pytest.mark.parametrize("base", ["5", "-1"])
+def test_holonomy_base_not_an_object_is_input_error(capsys, base):
+    code = main(["holonomy", corpus_file("c3.json"), "--base", base])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: base {base} is not an object")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("base", ["9", "4", "-1"])
+def test_connection_base_not_a_vertex_is_input_error(capsys, base):
+    code = main(["connection", corpus_file("k4-rotation-connection.json"), "--base", base])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: base {base} is not a vertex")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
 def test_corpus_command(capsys):
     code, out = run(capsys, "corpus", "--seed", "7", "--count", "25")
     assert code == 0

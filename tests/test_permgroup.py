@@ -212,3 +212,96 @@ def test_all_in_even_subgroup():
     assert all_in_even_subgroup([flat])
     assert all_in_even_subgroup([two, two * flat])
     assert not all_in_even_subgroup([one])
+
+
+# Differential checks of the incremental chain on seeded random inputs.
+
+def _random_support_perm(rng, degree):
+    """A random permutation of a random set of 2..6 points."""
+    support = rng.sample(range(degree), rng.randint(2, min(6, degree)))
+    moved = support[:]
+    rng.shuffle(moved)
+    images = list(range(degree))
+    for a, b in zip(support, moved):
+        images[a] = b
+    return Perm(tuple(images))
+
+
+def _messy(rng, gens, degree):
+    """The same generating set with duplicates and identities mixed in,
+    shuffled."""
+    out = list(gens) + [rng.choice(gens) for _ in range(rng.randint(1, 4))]
+    out += [Perm.identity(degree)] * rng.randint(1, 3)
+    rng.shuffle(out)
+    return out
+
+
+def _is_input_ordered_subset(kept, given):
+    it = iter(given)
+    return all(any(k is g for g in it) for k in kept)
+
+
+def test_incremental_chain_matches_closure_on_messy_inputs():
+    rng = random.Random(2024)
+    for degree, gens, cl in random_generating_sets(seed=31, count=25, max_degree=7):
+        messy = _messy(rng, gens, degree)
+        group = schreier_sims(messy, degree=degree)
+        assert group.order == len(cl)
+        assert _is_input_ordered_subset(group.generators, messy)
+        assert len(set(group.generators)) == len(group.generators)
+        assert not any(g.is_identity() for g in group.generators)
+        assert closure_small(group.generators, degree=degree) == cl
+        for p in cl:
+            assert group.contains(p)
+        for _ in range(20):
+            images = list(range(degree))
+            rng.shuffle(images)
+            p = Perm(tuple(images))
+            assert group.contains(p) == (p in cl)
+
+
+def test_kept_generators_generate_the_same_group():
+    rng = random.Random(77)
+    for _ in range(40):
+        degree = rng.randint(2, 30)
+        gens = [_random_support_perm(rng, degree) for _ in range(rng.randint(1, 6))]
+        messy = _messy(rng, gens, degree)
+        group = schreier_sims(messy, degree=degree)
+        assert _is_input_ordered_subset(group.generators, messy)
+        again = schreier_sims(group.generators, degree=degree)
+        assert again.order == group.order
+        assert again.generators == group.generators
+        assert all(again.contains(g) for g in messy)
+
+
+def test_chain_is_deterministic():
+    rng = random.Random(5)
+    for _ in range(10):
+        degree = rng.randint(5, 20)
+        gens = [_random_support_perm(rng, degree) for _ in range(4)]
+        first, second = schreier_sims(gens), schreier_sims(list(gens))
+        assert (first.base, first.generators, first.order) == \
+            (second.base, second.generators, second.order)
+
+
+def test_order_matches_sympy_up_to_degree_30():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(99)
+    for degree in list(range(2, 31)) + [30] * 10:
+        gens = [_random_support_perm(rng, degree) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(Perm(tuple(images)))
+        want = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens]).order()
+        assert schreier_sims(_messy(rng, gens, degree), degree=degree).order == want
+
+
+def test_recognize_skips_duplicate_and_identity_generators():
+    swap = Perm.from_cycles(5, (1, 3))
+    gens = [swap] * 3000 + [Perm.identity(5)] * 3000
+    random.Random(1).shuffle(gens)
+    group = schreier_sims(gens)
+    assert group.generators == (swap,)
+    assert recognize(group) == "cyclic(2)"
