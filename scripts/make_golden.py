@@ -1,0 +1,68 @@
+"""Write the golden CLI reports that tests/test_golden.py compares against.
+
+Each case is one ``groupoids --format json`` call: ``holonomy`` at
+``--base`` 0 and 1, ``invariants`` and ``connection`` at ``--base`` 0
+and 1 on every bundled corpus file, ``puzzle holonomy`` on a few grid
+boards at holes 0, 1 and 3, and three bases out of range.  A case records the argument list, the
+exit code, stdout, and the ``error:`` lines of stderr (the ``elapsed``
+line is dropped).  Corpus files are written as ``corpus/<name>``.
+
+Run it on the commit whose output the tests should pin:
+
+    PYTHONPATH=src python scripts/make_golden.py tests/golden
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from groupoids.cli import main
+from groupoids.corpus import bundled_dir
+
+BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5")
+HOLES = (0, 1, 3)
+
+
+def cases() -> dict[str, list[list[str]]]:
+    names = sorted(p.name for p in bundled_dir().glob("*.json"))
+    out: dict[str, list[list[str]]] = {"holonomy": [], "invariants": [], "connection": []}
+    for name in names:
+        path = f"corpus/{name}"
+        out["invariants"].append(["invariants", path])
+        for base in ("0", "1"):
+            out["holonomy"].append(["holonomy", path, "--base", base])
+            out["connection"].append(["connection", path, "--base", base])
+    out["puzzle"] = [["puzzle", "holonomy", "--board", board, "--base", str(hole)]
+                     for board in BOARDS for hole in HOLES]
+    out["puzzle"].append(["puzzle", "holonomy", "--board", "2x2", "--base", "4"])
+    out["holonomy"].append(["holonomy", "corpus/c3.json", "--base", "5"])
+    out["connection"].append(["connection", "corpus/k4-rotation-connection.json", "--base", "9"])
+    return out
+
+
+def run_case(argv: list[str]) -> dict:
+    """One in-process CLI call on a case's argument list."""
+    real = [str(bundled_dir() / a[len("corpus/"):]) if a.startswith("corpus/") else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", *real])
+    errors = "".join(line for line in err.getvalue().splitlines(keepends=True)
+                     if not line.startswith("elapsed "))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": errors}
+
+
+def write(target: Path) -> None:
+    target.mkdir(parents=True, exist_ok=True)
+    for command, argvs in cases().items():
+        records = [run_case(argv) for argv in argvs]
+        (target / f"{command}.json").write_text(
+            json.dumps(records, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write(Path(sys.argv[1] if len(sys.argv) > 1 else "tests/golden"))

@@ -34,6 +34,7 @@ from .games import (
     game_groupoid_from_complex,
     grid_puzzle,
     ordered_state,
+    puzzle_groupoid,
     puzzle_holonomy,
     reachable,
 )
@@ -41,6 +42,7 @@ from .graphconn import (
     GraphConnection,
     InvalidConnection,
     NotRegular,
+    connection_groupoid,
     connection_holonomy,
     cycle_connection,
     rotation_connection,

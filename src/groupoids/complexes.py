@@ -131,6 +131,11 @@ class SimplicialComplex:
         edges = {fs for fs, d in self.faces.items() if d == 1}
         return tuple(sorted(tuple(sorted(e)) for e in edges))
 
+    @cached_property
+    def dual(self) -> DualMultigraph:
+        """The facet-adjacency multigraph, built once per complex."""
+        return _dual_multigraph(self)
+
 
 def build_simplicial(facets: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Validate and build a pure simplicial complex.
@@ -226,6 +231,11 @@ class CubicalComplex:
     def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
         edges = {fs for fs, d in self.faces.items() if d == 1}
         return tuple(sorted(tuple(sorted(e)) for e in edges))
+
+    @cached_property
+    def dual(self) -> DualMultigraph:
+        """The facet-adjacency multigraph, built once per complex."""
+        return _dual_multigraph(self)
 
 
 def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
@@ -400,7 +410,11 @@ def _facet_ridges(K: SimplicialComplex | CubicalComplex) -> list[list[frozenset]
 
 
 def facet_adjacency(K: SimplicialComplex | CubicalComplex) -> DualMultigraph:
-    """One dual edge per unordered facet pair per shared ridge."""
+    """One dual edge per unordered facet pair per shared ridge; cached on K."""
+    return K.dual
+
+
+def _dual_multigraph(K: SimplicialComplex | CubicalComplex) -> DualMultigraph:
     per_facet = _facet_ridges(K)
     all_ridges = sorted({r for lst in per_facet for r in lst},
                         key=lambda fs: sorted(fs))

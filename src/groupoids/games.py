@@ -2,8 +2,10 @@
 
 A puzzle groupoid's objects are hole positions (pieces unlabelled); the
 piece labels live one level up, in the labelled states that transport
-carries around.  Reachability between labelled states then reduces to a
-single membership test in the puzzle's holonomy group.
+carries around.  ``puzzle_groupoid`` builds it as a ``Groupoid``, whose
+holonomy comes from ``holonomy.holonomy`` like that of a complex.
+Reachability between labelled states then reduces to a single
+membership test in the puzzle's holonomy group.
 
 Closed-tour convention: moving the hole one step swaps it with the
 piece next to it, so a hole tour around a closed walk shifts the pieces
@@ -19,9 +21,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .complexes import CubicalComplex, SimplicialComplex
+from .complexes import CubicalComplex, DualMultigraph, SimplicialComplex
 from .groupoid import Groupoid
-from .permgroup import Perm, PermGroup, schreier_sims
+from .holonomy import holonomy
+from .permgroup import Perm, PermGroup
 
 
 class DegenerateBoard(ValueError):
@@ -185,47 +188,33 @@ def _hole_path(board: Puzzle, start: int, goal: int) -> list[int]:
     return path[::-1]
 
 
+def puzzle_groupoid(board: Puzzle) -> Groupoid:
+    """The sliding-puzzle groupoid of a board.
+
+    Objects are hole cells; the vertices of an object are the other
+    cells, in increasing order, and stand for the pieces on them.  Dual
+    edge ``rid`` is board edge ``rid``, and the flip u -> v moves the
+    hole from u to v: it sends v to u and fixes every other cell.
+    """
+    cells = tuple(range(board.cell_count))
+    others = tuple(cells[:u] + cells[u + 1:] for u in cells)
+    flips: dict[tuple[int, int, int], dict[int, int]] = {}
+    for rid, (a, b) in enumerate(board.edges):
+        for u, v in ((a, b), (b, a)):
+            flips[(u, v, rid)] = dict(zip(others[u], others[u])) | {v: u}
+    return Groupoid(
+        object_vertices=others,
+        dual=DualMultigraph(
+            node_count=board.cell_count,
+            edges=tuple((a, b, rid) for rid, (a, b) in enumerate(board.edges)),
+            ridges=board.edges),
+        flips=flips,
+    )
+
+
 @lru_cache(maxsize=None)
 def _puzzle_holonomy_cached(board: Puzzle, base_hole: int) -> PermGroup:
-    slots = [c for c in range(board.cell_count) if c != base_hole]
-    slot_of = {c: i for i, c in enumerate(slots)}
-
-    parent: dict[int, int] = {}
-    seen = {base_hole}
-    order = [base_hole]
-    queue = [base_hole]
-    while queue:
-        u = queue.pop(0)
-        for v in board.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
-
-    def tree_path(node: int) -> list[int]:
-        path = [node]
-        while path[-1] != base_hole:
-            path.append(parent[path[-1]])
-        return path[::-1]
-
-    tree = {tuple(sorted((v, u))) for v, u in parent.items()}
-    gens = []
-    for a, b in board.edges:
-        if (a, b) in tree:
-            continue
-        tour = tree_path(a) + tree_path(b)[::-1]
-        occ = {c: str(c) for c in slots}
-        occ = _apply_hole_path(board, occ, tour)
-        images = [0] * len(slots)
-        for cell, piece in occ.items():
-            images[slot_of[int(piece)]] = slot_of[cell]
-        gens.append(Perm(tuple(images)))
-    # Tours that move the most pieces go first: they generate most of the
-    # group at once, so the chain keeps fewer tours and sifts the rest
-    # to the identity.
-    gens.sort(key=lambda p: sum(i != x for i, x in enumerate(p.images)), reverse=True)
-    return schreier_sims(gens, degree=len(slots))
+    return holonomy(puzzle_groupoid(board), base_hole).group
 
 
 def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup:

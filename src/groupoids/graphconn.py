@@ -8,9 +8,9 @@ the graph then acquire holonomy inside the permutations of a star,
 exactly parallel to the facet-flip picture; here the star plays the
 tangent space.
 
-Objects of the associated groupoid are the vertices, with morphisms
-generated by the star bijections along edges; that identification is
-one natural reading and the one implemented.
+``connection_groupoid`` builds the associated ``Groupoid``: objects are
+the vertices, morphisms the star bijections along edges.  Its holonomy
+comes from ``holonomy.holonomy``, the engine that serves complexes.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .complexes import DualMultigraph
+from .groupoid import Groupoid
+from .holonomy import NotConnected, holonomy
 from .homcx import Graph
-from .permgroup import Perm, PermGroup, schreier_sims
+from .permgroup import PermGroup
 
 
 class NotRegular(ValueError):
@@ -119,6 +122,24 @@ def rotation_connection(graph: Graph) -> GraphConnection:
     return GraphConnection(graph, nabla)
 
 
+def connection_groupoid(c: GraphConnection) -> Groupoid:
+    """The groupoid of a connection whose tables are already validated.
+
+    Objects are vertices, the vertices of an object are its star, dual
+    edge ``rid`` is ``graph.edges[rid]``, and the flips are the tables.
+    """
+    graph = c.graph
+    return Groupoid(
+        object_vertices=tuple(star(graph, x) for x in range(graph.vertex_count)),
+        dual=DualMultigraph(
+            node_count=graph.vertex_count,
+            edges=tuple((a, b, rid) for rid, (a, b) in enumerate(graph.edges)),
+            ridges=graph.edges),
+        flips={(x, y, rid): c.nabla[(x, y)]
+               for rid, (a, b) in enumerate(graph.edges) for x, y in ((a, b), (b, a))},
+    )
+
+
 def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup:
     """Holonomy at a vertex: fundamental-cycle transport of its star.
 
@@ -128,44 +149,10 @@ def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup:
     report = validate_connection(c)
     if not report:
         raise InvalidConnection(report.witness)
-    graph = c.graph
-    if not 0 <= base < graph.vertex_count:
-        raise InvalidConnection(
-            f"base {base} is not a vertex; vertices are 0..{graph.vertex_count - 1}")
-
-    parent: dict[int, int] = {}
-    seen = {base}
-    queue = [base]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(graph.adjacency[u]):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                queue.append(v)
-    if len(seen) != graph.vertex_count:
-        raise InvalidConnection("graph is not connected")
-
-    def transport_to(node: int) -> dict[OrientedEdge, OrientedEdge]:
-        hops = [node]
-        while hops[-1] != base:
-            hops.append(parent[hops[-1]])
-        hops.reverse()
-        bij = {e: e for e in star(graph, base)}
-        for u, v in zip(hops, hops[1:]):
-            step = c.nabla[(u, v)]
-            bij = {k: step[w] for k, w in bij.items()}
-        return bij
-
-    base_star = star(graph, base)
-    index = {e: i for i, e in enumerate(base_star)}
-    tree = {tuple(sorted((v, u))) for v, u in parent.items()}
-    gens = []
-    for a, b in graph.edges:
-        if (a, b) in tree:
-            continue
-        fwd = transport_to(a)
-        back = {v: k for k, v in transport_to(b).items()}
-        loop = {e: back[c.nabla[(a, b)][fwd[e]]] for e in base_star}
-        gens.append(Perm(tuple(index[loop[e]] for e in base_star)))
-    return schreier_sims(gens, degree=len(base_star))
+    n = c.graph.vertex_count
+    if not 0 <= base < n:
+        raise InvalidConnection(f"base {base} is not a vertex; vertices are 0..{n - 1}")
+    try:
+        return holonomy(connection_groupoid(c), base).group
+    except NotConnected:
+        raise InvalidConnection("graph is not connected") from None

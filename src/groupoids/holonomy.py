@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .complexes import (
@@ -19,9 +20,10 @@ from .complexes import (
     SimplicialComplex,
     VertexMap,
     check_nondegenerate,
+    facet_adjacency,
 )
-from .groupoid import Groupoid, corner_map_signed, transport
-from .permgroup import Perm, PermGroup, SignedPerm, recognize, schreier_sims
+from .groupoid import Groupoid, corner_map_signed
+from .permgroup import Perm, PermGroup, SignedPerm, closure_small, recognize, schreier_sims
 
 
 class NotConnected(ValueError):
@@ -63,7 +65,7 @@ class HolonomyResult:
 
 def is_strongly_connected(K: SimplicialComplex | CubicalComplex) -> bool:
     """Any two facets joined by a chain of ridge-adjacent facets."""
-    return Groupoid.from_complex(K).dual.is_connected()
+    return facet_adjacency(K).is_connected()
 
 
 def slot_perm(g: Groupoid, obj: int, bijection: dict[int, int]) -> Perm:
@@ -74,38 +76,29 @@ def slot_perm(g: Groupoid, obj: int, bijection: dict[int, int]) -> Perm:
     return Perm(tuple(index[bijection[v]] for v in verts))
 
 
-def _spanning_tree(g: Groupoid, base: int, rng: random.Random | None):
+def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
     """BFS tree from the base with lowest-ridge-id tie-breaking, or a
-    seeded shuffle of the exploration order when rng is given."""
-    parent: dict[int, tuple[int, int]] = {}  # node -> (parent, ridge)
-    seen = {base}
-    order = [base]
-    queue = [base]
+    seeded shuffle of the exploration order when rng is given.
+
+    Returns the tree edges as (i, j, ridge) with i < j, and the transport
+    from the base to every reached object, in BFS order; each transport
+    extends its parent's by one flip.
+    """
+    tree: set[tuple[int, int, int]] = set()
+    transports = {base: {v: v for v in g.object_vertices[base]}}
+    queue = deque([base])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         edges = list(g.dual.adjacency[u])
         if rng is not None:
             rng.shuffle(edges)
         for rid, v in edges:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = (u, rid)
-                order.append(v)
+            if v not in transports:
+                step = g.flips[(u, v, rid)]
+                transports[v] = {x: step[y] for x, y in transports[u].items()}
+                tree.add((min(u, v), max(u, v), rid))
                 queue.append(v)
-    return parent, seen, order
-
-
-def _tree_transport(g: Groupoid, base: int, parent, node: int) -> dict[int, int]:
-    path = []
-    while node != base:
-        up, rid = parent[node]
-        path.append((up, node, rid))
-        node = up
-    bij = {v: v for v in g.object_vertices[base]}
-    for up, down, rid in reversed(path):
-        step = g.flips[(up, down, rid)]
-        bij = {x: step[y] for x, y in bij.items()}
-    return bij
+    return tree, transports
 
 
 def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
@@ -118,19 +111,14 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     if not 0 <= base < g.object_count:
         raise NoSuchObject(
             f"base {base} is not an object; objects are 0..{g.object_count - 1}")
-    parent, seen, _ = _spanning_tree(g, base, rng)
-    if require_connected and len(seen) != g.object_count:
+    tree, to_base = spanning_tree(g, base, rng)
+    if require_connected and len(to_base) != g.object_count:
         raise NotConnected(
-            f"dual graph reaches {len(seen)} of {g.object_count} objects from base")
-    tree = {(min(u, v), max(u, v), rid) for v, (u, rid) in parent.items()}
-    to_base: dict[int, dict[int, int]] = {}
-    for node in seen:
-        to_base[node] = _tree_transport(g, base, parent, node)
-
+            f"dual graph reaches {len(to_base)} of {g.object_count} objects from base")
     gens: list[Perm] = []
     bijections: list[dict[int, int]] = []
     for i, j, rid in g.dual.edges:
-        if i not in seen or (i, j, rid) in tree:
+        if i not in to_base or (i, j, rid) in tree:
             continue
         flip = g.flips[(i, j, rid)]
         forward = to_base[i]
@@ -140,7 +128,11 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
         gens.append(slot_perm(g, base, loop))
 
     degree = len(g.object_vertices[base])
-    group = schreier_sims(gens, degree=degree)
+    # Loops that move the most points go first: they generate most of the
+    # group at once, so the chain keeps fewer loops and sifts the rest to
+    # the identity.
+    by_moved = sorted(gens, key=lambda p: sum(i != x for i, x in enumerate(p.images)), reverse=True)
+    group = schreier_sims(by_moved, degree=degree)
 
     signed = None
     outer = math.factorial(degree)
@@ -208,18 +200,7 @@ def closed_path_oracle(g: Groupoid, base: int, max_len: int | None = None) -> fr
         for rid, nxt in g.dual.adjacency[node]:
             step = g.flips[(node, nxt, rid)]
             stack.append((nxt, {x: step[y] for x, y in bij.items()}, length + 1))
-    # close under composition
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(found):
-                for c in (a * b, b * a):
-                    if c not in found:
-                        found.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return frozenset(found)
+    return closure_small(found, degree=degree)
 
 
 def induced_embedding_check(f: VertexMap, base: int = 0) -> bool:
@@ -236,9 +217,9 @@ def induced_embedding_check(f: VertexMap, base: int = 0) -> bool:
     if src.dim != dst.dim:
         raise NotNondegenerate(
             f"complexes have different depths {src.dim} and {dst.dim}")
-    src_hol = holonomy_group(src, base)
-    base_verts = Groupoid.from_complex(src).object_vertices[base]
-    image_set = frozenset(f(v) for v in base_verts)
+    src_g = Groupoid.from_complex(src)
+    src_hol = holonomy(src_g, base)
+    image_set = frozenset(f(v) for v in src_g.object_vertices[base])
     dst_g = Groupoid.from_complex(dst)
     target_base = next(i for i, verts in enumerate(dst_g.object_vertices)
                        if frozenset(verts) == image_set)

@@ -20,7 +20,7 @@ from .complexes import (
     facet_adjacency,
 )
 from .groupoid import Groupoid
-from .holonomy import NotConnected, holonomy
+from .holonomy import NotConnected, holonomy, spanning_tree
 from .permgroup import signed_parity
 
 
@@ -113,7 +113,8 @@ def _odd_cycle(parent: dict, u: int, v: int) -> tuple[int, ...]:
         up.pop()
         vp.pop()
     cycle = up + vp[:-1][::-1]
-    assert len(cycle) % 2 == 1, "witness cycle must be odd"
+    if len(cycle) % 2 == 0:
+        raise InconsistentExtension(f"witness cycle {cycle} is even")
     return tuple(cycle)
 
 
@@ -136,20 +137,16 @@ def i_invariant(K: CubicalComplex) -> int:
 def locally_strongly_connected(K: SimplicialComplex | CubicalComplex) -> bool:
     """Every vertex star connected through ridges containing the vertex."""
     dual = facet_adjacency(K)
-    for v in range(K.vertex_count):
-        star = [i for i, f in enumerate(K.facets) if v in f]
-        if len(star) <= 1:
-            continue
-        allowed = {
-            (i, j) for i, j, rid in dual.edges
-            if v in dual.ridges[rid]
-        }
-        seen = {star[0]}
-        queue = [star[0]]
+    stars: list[list[int]] = [[] for _ in range(K.vertex_count)]
+    for i, f in enumerate(K.facets):
+        for v in f:
+            stars[v].append(i)
+    for v, star in enumerate(stars):
+        seen = set(star[:1])
+        queue = star[:1]
         while queue:
-            u = queue.pop(0)
-            for w in star:
-                if w not in seen and ((u, w) in allowed or (w, u) in allowed):
+            for rid, w in dual.adjacency[queue.pop()]:
+                if w not in seen and v in dual.ridges[rid]:
                     seen.add(w)
                     queue.append(w)
         if len(seen) != len(star):
@@ -252,18 +249,13 @@ def transport_coloring(K: SimplicialComplex | CubicalComplex) -> RainbowColoring
     if base_hol.order != 1:
         raise NontrivialHolonomy(f"holonomy has order {base_hol.order}")
 
-    base_verts = g.object_vertices[0]
-    color: dict[int, int] = {v: i for i, v in enumerate(base_verts)}
-    parent, seen, order = _bfs_tree(g)
-    for node in order[1:]:
-        up, rid = parent[node]
-        step = g.flips[(up, node, rid)]
-        for src, dst in step.items():
-            c = color[src]
-            if dst in color and color[dst] != c:
+    color: dict[int, int] = {}
+    for bij in spanning_tree(g, 0)[1].values():
+        for c, src in enumerate(g.object_vertices[0]):
+            dst = bij[src]
+            if color.setdefault(dst, c) != c:
                 raise InconsistentExtension(
                     f"vertex {dst} received colors {color[dst]} and {c}")
-            color[dst] = c
     # re-validate across every flip, tree or not
     for i, j, rid in g.dual.edges:
         step = g.flips[(i, j, rid)]
@@ -276,18 +268,3 @@ def transport_coloring(K: SimplicialComplex | CubicalComplex) -> RainbowColoring
         raise InconsistentExtension("a facet failed the rainbow check")
     return coloring
 
-
-def _bfs_tree(g: Groupoid):
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {0}
-    order = [0]
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for rid, v in g.dual.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = (u, rid)
-                order.append(v)
-                queue.append(v)
-    return parent, seen, order

@@ -1,0 +1,94 @@
+"""One holonomy engine: puzzles and connections as groupoids, checked
+against the brute-force closed-path oracle, plus the shared dual graph,
+the odd-cycle witness check and the stdlib-only rule."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+from groupoids.complexes import facet_adjacency
+from groupoids.corpus import grid_patch, simplex_boundary
+from groupoids.games import Puzzle, grid_puzzle, puzzle_groupoid, puzzle_holonomy
+from groupoids.graphconn import (
+    connection_groupoid,
+    connection_holonomy,
+    cycle_connection,
+    rotation_connection,
+)
+from groupoids.groupoid import Groupoid
+from groupoids.holonomy import closed_path_oracle
+from groupoids.homcx import complete_graph
+from groupoids.invariants import InconsistentExtension, _odd_cycle
+from groupoids.permgroup import closure_small
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "groupoids"
+
+
+def cycle_board(n: int) -> Puzzle:
+    return Puzzle(cell_count=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+
+
+BOARDS = [grid_puzzle(2, 2)] + [cycle_board(n) for n in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("board", BOARDS, ids=lambda b: f"{b.cell_count}cells")
+def test_puzzle_holonomy_matches_oracle(board):
+    g = puzzle_groupoid(board)
+    for hole in range(board.cell_count):
+        group = puzzle_holonomy(board, hole)
+        want = closed_path_oracle(g, hole, max_len=board.cell_count)
+        assert closure_small(group.generators, degree=group.degree) == want
+
+
+# Each connection with a walk length that covers its fundamental loops:
+# the whole cycle, or a triangle through the base on K4.
+CONNECTIONS = [(cycle_connection(n), n) for n in (3, 4, 5, 6)] + \
+              [(rotation_connection(complete_graph(4)), 3)]
+
+
+@pytest.mark.parametrize("c,max_len", CONNECTIONS,
+                         ids=[f"cycle{n}" for n in (3, 4, 5, 6)] + ["k4-rotation"])
+def test_connection_holonomy_matches_oracle(c, max_len):
+    g = connection_groupoid(c)
+    for base in range(c.graph.vertex_count):
+        group = connection_holonomy(c, base)
+        want = closed_path_oracle(g, base, max_len=max_len)
+        assert closure_small(group.generators, degree=group.degree) == want
+
+
+def test_puzzle_groupoid_flip_moves_one_piece():
+    g = puzzle_groupoid(grid_puzzle(2, 2))
+    assert g.object_vertices[0] == (1, 2, 3)
+    assert g.flips[(0, 1, 0)] == {1: 0, 2: 2, 3: 3}
+    assert g.flips[(1, 0, 0)] == {0: 1, 2: 2, 3: 3}
+
+
+def test_dual_graph_is_built_once_per_complex():
+    for K in (simplex_boundary(3), grid_patch(3, 3)[0]):
+        assert facet_adjacency(K) is facet_adjacency(K)
+        assert Groupoid.from_complex(K).dual is facet_adjacency(K)
+
+
+def test_odd_cycle_rejects_an_even_witness():
+    parent = {0: None, 1: 0, 2: 0, 3: 1}
+    with pytest.raises(InconsistentExtension):
+        _odd_cycle(parent, 3, 2)
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "__future__" or top in sys.stdlib_module_names, \
+                    f"{path.name} imports {name}"
