@@ -14,9 +14,11 @@ without any geometric embedding.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 
@@ -137,13 +139,20 @@ class SimplicialComplex:
         return _dual_multigraph(self)
 
 
+def _vertex_id(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ComplexError(f"vertex id {v!r} is not an integer")
+    return v
+
+
 def build_simplicial(facets: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Validate and build a pure simplicial complex.
 
-    Impure, degenerate, or dominated input aborts construction; silent
-    repair would hide modeling errors.
+    Vertex ids must be ints (not bools).  Impure, degenerate, or
+    dominated input aborts construction; silent repair would hide
+    modeling errors.
     """
-    raw = [tuple(f) for f in facets]
+    raw = [tuple(_vertex_id(v) for v in f) for f in facets]
     if not raw:
         raise ComplexError("facet list is empty")
     for f in raw:
@@ -152,16 +161,19 @@ def build_simplicial(facets: Iterable[Sequence[int]]) -> SimplicialComplex:
     sizes = {len(f) for f in raw}
     if len(sizes) != 1:
         raise NonPure(f"mixed facet sizes {sorted(sizes)}")
+    # All facets have one size, so a facet inside another is a repeat of it.
     sets = [frozenset(f) for f in raw]
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a <= b:
-                raise DominatedFacet(f"facet {raw[i]} contained in {raw[j]}")
+    first: dict[frozenset, int] = {}
+    repeats = [(i, j) for j, s in enumerate(sets) if (i := first.setdefault(s, j)) != j]
+    if repeats:
+        i, j = min(repeats)
+        raise DominatedFacet(f"facet {raw[i]} contained in {raw[j]}")
     n = _check_dense_vertices(set().union(*sets))
     canon = tuple(sorted(tuple(sorted(f)) for f in raw))
     return SimplicialComplex(vertex_count=n, facets=canon)
 
 
+@lru_cache(maxsize=None)
 def _addr_index(bits: tuple[int, ...]) -> int:
     idx = 0
     for j, b in enumerate(bits):
@@ -169,31 +181,34 @@ def _addr_index(bits: tuple[int, ...]) -> int:
     return idx
 
 
+@lru_cache(maxsize=None)
 def _index_bits(idx: int, k: int) -> tuple[int, ...]:
     return tuple((idx >> j) & 1 for j in range(k))
 
 
-def _cube_faces(corners: tuple[int, ...], k: int):
-    """Yield (free_coords, fixed_bits, vertex frozenset) for every face.
+@lru_cache(maxsize=None)
+def _face_template(k: int) -> tuple[tuple[tuple[int, ...], dict[int, int], tuple[int, ...]], ...]:
+    """Every face of the k-cube as (free_coords, fixed_bits, corner indices).
 
     free_coords is a sorted tuple of coordinates left to vary; fixed_bits
-    maps each frozen coordinate to its pinned bit.
+    maps each frozen coordinate to its pinned bit; the corner indices are
+    the flat indices of the face's corners.  Built and count-checked once
+    per k and shared by every k-cube, so callers must not mutate it.
     """
     coords = range(k)
+    out = []
     for r in range(k + 1):
         for free in combinations(coords, r):
             frozen = [c for c in coords if c not in free]
+            span = [0]
+            for c in free:
+                span += [s | 1 << c for s in span]
             for mask in range(1 << len(frozen)):
                 fixed = {c: (mask >> i) & 1 for i, c in enumerate(frozen)}
-                verts = []
-                for sub in range(1 << r):
-                    bits = [0] * k
-                    for c, b in fixed.items():
-                        bits[c] = b
-                    for i, c in enumerate(free):
-                        bits[c] = (sub >> i) & 1
-                    verts.append(corners[_addr_index(tuple(bits))])
-                yield free, fixed, frozenset(verts)
+                base = sum(b << c for c, b in fixed.items())
+                out.append((free, fixed, tuple(base | s for s in span)))
+    _check_cube_poset_counts(out, k)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -217,7 +232,13 @@ class CubicalComplex:
 
     @cached_property
     def cube_face_lists(self) -> tuple[tuple, ...]:
-        return tuple(tuple(_cube_faces(c, self.dim)) for c in self.cubes)
+        """Per cube, (free_coords, fixed_bits, vertex frozenset) for every
+        face, read off the shared face template of its dimension."""
+        template = _face_template(self.dim)
+        return tuple(
+            tuple((free, fixed, frozenset([c[i] for i in idxs]))
+                  for free, fixed, idxs in template)
+            for c in self.cubes)
 
     @cached_property
     def faces(self) -> dict[frozenset, int]:
@@ -242,20 +263,25 @@ def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
     """Validate and build a cubical complex from corner-address maps.
 
     Corner keys may be bit tuples or binary strings ("01" means
-    coordinate 0 is 0 and coordinate 1 is 1).  Cells must pairwise meet
-    in a single common face or not at all; this is a deliberately
+    coordinate 0 is 0 and coordinate 1 is 1); vertex ids must be ints
+    (not bools).  Every cell must meet every face of the complex in one
+    of its own faces (see `_check_semilattice`); this is a deliberately
     stronger, checkable stand-in for the semilattice condition, standard
-    for regular CW complexes.
+    for regular CW complexes.  Validation costs time linear in the
+    number of cubes for bounded vertex degree and cube dimension.
     """
     normalized: list[tuple[int, ...]] = []
     k = None
     for cube in cubes:
+        if not isinstance(cube, Mapping) or not cube:
+            raise ComplexError(f"cube {cube!r} is not a non-empty map of corner addresses")
         entries = {}
         for key, v in cube.items():
-            bits = tuple(int(ch) for ch in key) if isinstance(key, str) else tuple(key)
+            # "01".find sends any character but 0 and 1 to -1
+            bits = tuple("01".find(ch) for ch in key) if isinstance(key, str) else tuple(key)
             if any(b not in (0, 1) for b in bits):
                 raise ComplexError(f"bad corner address {key!r}")
-            entries[bits] = int(v)
+            entries[bits] = _vertex_id(v)
         if k is None:
             k = len(next(iter(entries)))
             if k < 1:
@@ -281,50 +307,53 @@ def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
 
     complex_ = CubicalComplex(vertex_count=n, dim=k, cubes=tuple(normalized))
     _check_semilattice(complex_)
-    _check_cube_poset_counts(complex_)
     return complex_
 
 
 def _check_semilattice(K: CubicalComplex) -> None:
-    """Pairwise cell intersections must each be a single common face.
+    """Each cell must meet each face of the complex in one of its own faces.
 
-    The check runs over every derived face of every cube so that two
-    cells sharing a vertex set also agree on its internal face
-    structure.
+    Only faces that share a vertex with the cell are paired with it, so
+    the check is linear in the number of cells for bounded vertex degree.
+    It is equivalent to the pairwise rule that any two faces a and b
+    meet in a face of every cell owning a or b: taking a to be the whole
+    cell gives this check, and conversely a & b = a & (cell & b) for a
+    cell owning a, where two faces of one cube meet in a face.  The check
+    runs over every derived face of every cube so that two cells sharing
+    a vertex set also agree on its internal face structure.
     """
-    facesets: list[set[frozenset]] = [
-        {verts for _, _, verts in flist} for flist in K.cube_face_lists
-    ]
-    owners: dict[frozenset, list[int]] = {}
-    for c, fset in enumerate(facesets):
-        for verts in fset:
-            owners.setdefault(verts, []).append(c)
-    all_faces = sorted(owners, key=lambda fs: (len(fs), sorted(fs)))
-    for a, b in combinations(all_faces, 2):
-        inter = a & b
-        if not inter:
-            continue
-        for c in owners[a] + owners[b]:
-            if inter not in facesets[c]:
-                raise SemilatticeViolation(
-                    f"cells {sorted(a)} and {sorted(b)} meet in {sorted(inter)}, "
-                    "which is not a common face")
+    facesets = [frozenset(verts for _, _, verts in flist) for flist in K.cube_face_lists]
+    faces_at: dict[int, list[frozenset]] = {}
+    for verts in set().union(*facesets):
+        for v in verts:
+            faces_at.setdefault(v, []).append(verts)
+    for corners, fset in zip(K.cubes, facesets):
+        cell = frozenset(corners)
+        for v in corners:
+            for b in faces_at[v]:
+                if b not in fset and (cell & b) not in fset:
+                    raise SemilatticeViolation(
+                        f"cells {sorted(cell)} and {sorted(b)} meet in "
+                        f"{sorted(cell & b)}, which is not a common face")
 
 
-def _check_cube_poset_counts(K: CubicalComplex) -> None:
-    # Below a k-cell the derived poset must count like a cube's face
-    # lattice: C(k, j) * 2^(k-j) faces of dimension j.
-    from math import comb
-    k = K.dim
-    for flist in K.cube_face_lists:
-        by_dim: dict[int, set[frozenset]] = {}
-        for free, _, verts in flist:
-            by_dim.setdefault(len(free), set()).add(verts)
-        for j in range(k + 1):
-            expect = comb(k, j) * (1 << (k - j))
-            if len(by_dim.get(j, ())) != expect:
-                raise SemilatticeViolation(
-                    f"cell has {len(by_dim.get(j, ()))} faces of dim {j}, expected {expect}")
+def _check_cube_poset_counts(template, k: int) -> None:
+    """Below a k-cell the derived poset must count like a cube's face
+    lattice: C(k, j) * 2^(k-j) faces of dimension j.
+
+    Checked once per k on the face template's corner-index sets.  Once
+    `CornerCollision` has passed, a cube's corners are distinct, so
+    distinct index sets map to distinct vertex sets and every k-cube
+    counts exactly as the template does.
+    """
+    by_dim: dict[int, set[frozenset]] = {}
+    for free, _, idxs in template:
+        by_dim.setdefault(len(free), set()).add(frozenset(idxs))
+    for j in range(k + 1):
+        expect = comb(k, j) * (1 << (k - j))
+        if len(by_dim.get(j, ())) != expect:
+            raise SemilatticeViolation(
+                f"cell has {len(by_dim.get(j, ()))} faces of dim {j}, expected {expect}")
 
 
 def face_poset(K: SimplicialComplex | CubicalComplex) -> RankedPoset:
@@ -384,9 +413,9 @@ class DualMultigraph:
                 continue
             comp = [start]
             seen.add(start)
-            queue = [start]
+            queue = deque([start])
             while queue:
-                u = queue.pop(0)
+                u = queue.popleft()
                 for _, v in self.adjacency[u]:
                     if v not in seen:
                         seen.add(v)

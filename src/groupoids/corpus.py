@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
@@ -257,9 +258,9 @@ def _random_quotient(rng: random.Random, i: int) -> CorpusItem | None:
 
 def _graph_distance(adj: dict[int, set[int]], u: int, v: int) -> int:
     dist = {u: 0}
-    queue = [u]
+    queue = deque([u])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         if x == v:
             return dist[x]
         for y in adj[x]:

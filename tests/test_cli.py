@@ -153,6 +153,25 @@ def test_invalid_complex_is_input_error(tmp_path, capsys):
     assert main(["holonomy", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("obj,bad", [
+    ({"kind": "cubical", "dim": 1, "cubes": [{"0": 0, "1": True}]}, "True"),
+    ({"kind": "cubical", "dim": 1, "cubes": [{"0": 0, "1": 1.7}]}, "1.7"),
+    ({"kind": "cubical", "dim": 1, "cubes": [{"0": 0, "1": "1"}]}, "'1'"),
+    ({"kind": "simplicial", "facets": [[0, True]]}, "True"),
+    ({"kind": "simplicial", "facets": [["a", "b"]]}, "'a'"),
+], ids=["cubical-true", "cubical-float", "cubical-str", "simplicial-true", "simplicial-str"])
+def test_non_integer_vertex_id_is_input_error(tmp_path, capsys, obj, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code = main(["holonomy", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert f"vertex id {bad} is not an integer" in captured.err
+
+
 def test_bundled_corpus_round_trips():
     for path in sorted(bundled_dir().glob("*.json")):
         if path.name.endswith("-state.json") or path.name.endswith("-connection.json"):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -19,7 +20,15 @@ from groupoids.complexes import (
     face_poset,
     facet_adjacency,
 )
-from groupoids.corpus import cycle_complex, grid_patch, simplex_boundary
+from groupoids.corpus import (
+    cube_grid_patch,
+    cube_skeleton,
+    cycle_complex,
+    grid_patch,
+    simplex_boundary,
+    strip_complex,
+)
+from groupoids.serialize import ParseError, parse_complex
 
 
 def test_build_simplicial_examples():
@@ -204,3 +213,195 @@ def test_cubical_face_structure_consistency_enforced():
     # the shared vertex set {4,5,6,7} carries two edge structures
     with pytest.raises(SemilatticeViolation):
         build_cubical([base, twisted_top_bad])
+
+
+# --- The near-linear build against the pairwise rules it replaced ---
+
+def _old_cube_faces(corners, k):
+    """The per-cube face enumeration that the shared face template replaced."""
+    coords = range(k)
+    for r in range(k + 1):
+        for free in combinations(coords, r):
+            frozen = [c for c in coords if c not in free]
+            for mask in range(1 << len(frozen)):
+                fixed = {c: (mask >> i) & 1 for i, c in enumerate(frozen)}
+                verts = []
+                for sub in range(1 << r):
+                    bits = [0] * k
+                    for c, b in fixed.items():
+                        bits[c] = b
+                    for i, c in enumerate(free):
+                        bits[c] = (sub >> i) & 1
+                    verts.append(corners[sum(b << j for j, b in enumerate(bits))])
+                yield free, fixed, frozenset(verts)
+
+
+def _old_cubical_verdict(cubes, k):
+    """Exception type (or None) of the all-pairs validation of corner tuples."""
+    try:
+        for c in cubes:
+            if len(set(c)) != len(c):
+                raise CornerCollision
+        used = {v for c in cubes for v in c}
+        if used != set(range(max(used) + 1)):
+            raise ComplexError
+        if len({frozenset(c) for c in cubes}) != len(cubes):
+            raise SemilatticeViolation
+        facesets = [{verts for _, _, verts in _old_cube_faces(c, k)} for c in cubes]
+        owners = {}
+        for c, fset in enumerate(facesets):
+            for verts in fset:
+                owners.setdefault(verts, []).append(c)
+        for a, b in combinations(owners, 2):
+            inter = a & b
+            if inter and any(inter not in facesets[c] for c in owners[a] + owners[b]):
+                raise SemilatticeViolation
+        for c in cubes:
+            by_dim = {}
+            for free, _, verts in _old_cube_faces(c, k):
+                by_dim.setdefault(len(free), set()).add(verts)
+            if any(len(by_dim[j]) != comb(k, j) << (k - j) for j in range(k + 1)):
+                raise SemilatticeViolation
+    except ComplexError as e:
+        return type(e)
+    return None
+
+
+def _new_cubical_verdict(cubes, k):
+    maps = [{"".join(str((i >> j) & 1) for j in range(k)): v for i, v in enumerate(c)}
+            for c in cubes]
+    try:
+        build_cubical(maps)
+    except ComplexError as e:
+        return type(e)
+    return None
+
+
+def _mutate(rng, cubes):
+    """Merge, swap or borrow corners, then relabel vertices densely."""
+    cubes = [list(c) for c in cubes]
+    for _ in range(rng.randint(1, 2)):
+        cell = rng.choice(cubes)
+        i, j = rng.sample(range(len(cell)), 2)
+        how = rng.randrange(3)
+        if how == 0:  # merge two vertices of the complex everywhere
+            u, w = cell[i], rng.choice(rng.choice(cubes))
+            cubes = [[w if v == u else v for v in c] for c in cubes]
+        elif how == 1:  # swap two corners of one cell
+            cell[i], cell[j] = cell[j], cell[i]
+        else:  # borrow a corner from another cell
+            cell[i] = rng.choice(rng.choice(cubes))
+    dense = {v: n for n, v in enumerate(sorted({v for c in cubes for v in c}))}
+    return [tuple(dense[v] for v in c) for c in cubes]
+
+
+def test_semilattice_check_matches_pairwise_rule():
+    rng = random.Random(20061)
+    bases = [grid_patch(w, h)[0] for w in (1, 2, 3) for h in (1, 2, 3)]
+    bases += [cube_grid_patch(w, h, 1)[0] for w, h in ((2, 1), (2, 2))]
+    bases += [cube_skeleton(d, k)[0] for d, k in ((3, 1), (3, 2), (4, 2), (4, 3))]
+    bases += [strip_complex(n, t) for n in (3, 4, 5) for t in (False, True)]
+    verdicts = {}
+    for K in bases:
+        assert _old_cubical_verdict(K.cubes, K.dim) is None
+        for _ in range(90):
+            cubes = _mutate(rng, K.cubes)
+            old = _old_cubical_verdict(cubes, K.dim)
+            assert _new_cubical_verdict(cubes, K.dim) == old, cubes
+            verdicts[old] = verdicts.get(old, 0) + 1
+    # the mutations reach every rejection as well as valid complexes
+    assert set(verdicts) == {None, CornerCollision, SemilatticeViolation}
+    assert verdicts[SemilatticeViolation] >= 400
+
+
+def _old_build_simplicial(facets):
+    raw = [tuple(f) for f in facets]
+    for f in raw:
+        if len(set(f)) != len(f):
+            raise DegenerateFacet(f"repeated vertex in facet {f}")
+    sizes = {len(f) for f in raw}
+    if len(sizes) != 1:
+        raise NonPure(f"mixed facet sizes {sorted(sizes)}")
+    sets = [frozenset(f) for f in raw]
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if i != j and a <= b:
+                raise DominatedFacet(f"facet {raw[i]} contained in {raw[j]}")
+    used = set().union(*sets)
+    n = max(used) + 1
+    if used != set(range(n)):
+        missing = sorted(set(range(n)) - used)
+        raise ComplexError(f"vertex ids must be dense 0..{n - 1}; missing {missing}")
+
+
+def test_duplicate_facet_check_matches_dominated_loop():
+    rng = random.Random(20062)
+    seen = set()
+    for _ in range(2000):
+        d = rng.randint(1, 3)
+        facets = [rng.sample(range(d + 3), d + 1) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.2:
+            facets.insert(rng.randrange(len(facets)), rng.sample(range(d + 3), d))
+        verdicts = []
+        for build in (_old_build_simplicial, build_simplicial):
+            try:
+                build(facets)
+                verdicts.append(None)
+            except ComplexError as e:
+                verdicts.append((type(e), str(e)))
+        assert verdicts[0] == verdicts[1], facets
+        seen.add(verdicts[0] and verdicts[0][0])
+    assert seen == {None, DominatedFacet, NonPure, ComplexError}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_face_template_matches_per_cube_faces(k):
+    corners = tuple(random.Random(k).sample(range(1 << k), 1 << k))
+    K = build_cubical([{tuple((i >> j) & 1 for j in range(k)): v
+                        for i, v in enumerate(corners)}])
+    assert list(K.cube_face_lists[0]) == list(_old_cube_faces(corners, k))
+
+
+@pytest.mark.parametrize("cubes", [
+    [{"0": 0, "1": True}],
+    [{"0": 0, "1": 1.0}],
+    [{"0": 0, "1": "1"}],
+    [[0, 1]],
+    [{}],
+    [{"0": 0, "2": 1}],
+])
+def test_build_cubical_rejects_bad_input(cubes):
+    with pytest.raises(ComplexError):
+        build_cubical(cubes)
+
+
+@pytest.mark.parametrize("facets", [[[0, True]], [[0, 1.0]], [["a", "b"]], [[0, None]]])
+def test_build_simplicial_rejects_non_integer_ids(facets):
+    with pytest.raises(ComplexError, match="is not an integer"):
+        build_simplicial(facets)
+
+
+_json_scalars = st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text("01a", max_size=3)
+_json = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text("01a", max_size=3), inner, max_size=4),
+                     max_leaves=12)
+_vertex = st.integers(0, 7) | _json_scalars
+_complexes = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("simplicial"),
+                           "facets": st.lists(st.lists(_vertex, max_size=4), max_size=5) | _json}),
+    st.fixed_dictionaries({"kind": st.just("cubical"),
+                           "cubes": st.lists(st.dictionaries(st.text("01", max_size=3), _vertex,
+                                                             max_size=8) | _json, max_size=4)
+                           | _json},
+                          optional={"dim": _json_scalars}),
+    st.fixed_dictionaries({"kind": _json_scalars}, optional={"name": _json_scalars}),
+    _json,
+)
+
+
+@given(_complexes)
+def test_parse_complex_raises_only_input_errors(obj):
+    try:
+        parse_complex(obj)
+    except (ParseError, ComplexError):
+        pass
