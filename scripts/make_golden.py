@@ -23,7 +23,7 @@ from pathlib import Path
 from groupoids.cli import main
 from groupoids.corpus import bundled_dir
 
-BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5")
+BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5", "5x5", "6x6", "3x7")
 HOLES = (0, 1, 3)
 
 

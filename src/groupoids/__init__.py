@@ -107,6 +107,7 @@ from .invariants import (
 from .permgroup import (
     ClosureTooLarge,
     DegreeMismatch,
+    GiantGroup,
     Perm,
     PermGroup,
     SignedPerm,

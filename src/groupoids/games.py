@@ -7,6 +7,14 @@ holonomy comes from ``holonomy.holonomy`` like that of a complex.
 Reachability between labelled states then reduces to a single
 membership test in the puzzle's holonomy group.
 
+Wilson's theorem (*Graph puzzles, homotopy, and the alternating
+group*, J. Combin. Theory Ser. B 16, 1974) names that group for most
+boards: on a 2-connected board that is neither a cycle nor the
+seven-cell graph theta_0 it is S_{n-1}, or A_{n-1} when the board is
+bipartite.  ``puzzle_holonomy`` returns such a board's group as a
+``GiantGroup`` without building a chain, so membership is a parity
+check; every other board goes through ``holonomy.holonomy``.
+
 Closed-tour convention: moving the hole one step swaps it with the
 piece next to it, so a hole tour around a closed walk shifts the pieces
 on the walk one step against the hole's motion.  On the 2x2 board with
@@ -20,11 +28,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .complexes import CubicalComplex, DualMultigraph, SimplicialComplex
 from .groupoid import Groupoid
 from .holonomy import holonomy
-from .permgroup import Perm, PermGroup
+from .permgroup import GiantGroup, Perm, PermGroup
 
 
 class DegenerateBoard(ValueError):
@@ -212,18 +221,88 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
     )
 
 
+def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:
+    """Hopcroft-Tarjan on a connected simple graph, with an explicit
+    stack: a non-root vertex u is a cut vertex when some DFS child v has
+    low[v] >= disc[u], the root when it has two DFS children."""
+    disc = [-1] * len(adjacency)
+    low = [0] * len(adjacency)
+    disc[0] = 0
+    stack = [(0, -1, iter(adjacency[0]))]
+    clock, root_children = 1, 0
+    while stack:
+        u, parent, todo = stack[-1]
+        for v in todo:
+            if disc[v] < 0:
+                disc[v] = low[v] = clock
+                clock += 1
+                stack.append((v, u, iter(adjacency[v])))
+                break
+            if v != parent and disc[v] < low[u]:
+                low[u] = disc[v]
+        else:
+            stack.pop()
+            if parent == 0:
+                root_children += 1
+            elif parent > 0:
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    return True
+    return root_children > 1
+
+
+def _bipartite(adjacency: Sequence[Sequence[int]]) -> bool:
+    """BFS 2-colouring of a connected graph."""
+    color = [-1] * len(adjacency)
+    color[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if color[v] < 0:
+                color[v] = 1 - color[u]
+                queue.append(v)
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
+def wilson_group(board: Puzzle) -> GiantGroup | None:
+    """The board's holonomy group by Wilson's theorem, or None where the
+    theorem does not decide it.
+
+    It decides boards whose simple graph (repeated edges only add
+    trivial tours) is 2-connected (at least three cells, no cut vertex)
+    and not a cycle, except those with exactly seven cells: that
+    excludes theta_0, whose group has order 120, without an isomorphism
+    test.  O(V + E).
+    """
+    simple = [tuple(dict.fromkeys(ns)) for ns in board.adjacency]
+    if board.cell_count < 3 or board.cell_count == 7 \
+            or all(len(ns) == 2 for ns in simple) or _has_cut_vertex(simple):
+        return None
+    return GiantGroup(board.piece_count, alternating=_bipartite(simple))
+
+
 @lru_cache(maxsize=None)
-def _puzzle_holonomy_cached(board: Puzzle, base_hole: int) -> PermGroup:
+def _puzzle_holonomy_cached(board: Puzzle, base_hole: int) -> PermGroup | GiantGroup:
+    wilson = wilson_group(board)
+    if wilson is not None:
+        return wilson
     return holonomy(puzzle_groupoid(board), base_hole).group
 
 
-def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup:
+def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup:
     """Holonomy of the puzzle groupoid at a hole position.
 
-    Generators come from closed hole tours along the fundamental cycles
-    of the board graph; the group acts on piece slots, i.e. the
-    non-hole cells in increasing order.  Its ``generators`` are the tours
-    that enlarged the group, those that move the most pieces first.
+    The group acts on piece slots, i.e. the non-hole cells in increasing
+    order.  On a board that Wilson's theorem decides (see
+    :func:`wilson_group`) it is a ``GiantGroup``, and its ``generators``
+    are the standard pair of S_{n-1} or A_{n-1}, not hole tours.  On any
+    other board it is the chain of the closed hole tours along the
+    fundamental cycles of the board graph, and its ``generators`` are
+    the tours that enlarged the group, those that move the most pieces
+    first.
     """
     if not 0 <= base_hole < board.cell_count:
         raise BoardMismatch(f"no cell {base_hole}")
@@ -272,9 +351,9 @@ def reachable_bfs(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     start = key(a.hole, occ_a)
     goal = key(b.hole, occ_b)
     seen = {start}
-    queue = [(a.hole, occ_a)]
+    queue = deque([(a.hole, occ_a)])
     while queue:
-        hole, occ = queue.pop(0)
+        hole, occ = queue.popleft()
         if key(hole, occ) == goal:
             return True
         for nxt in board.neighbors(hole):

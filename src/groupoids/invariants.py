@@ -10,6 +10,7 @@ vertex identifications build complexes where they differ.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,9 +90,9 @@ def nacl(K: SimplicialComplex | CubicalComplex) -> NaclResult:
             continue
         color[start] = 0
         parent[start] = None
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if v not in color:
                     color[v] = 1 - color[u]

@@ -8,12 +8,18 @@ source-to-target is then a plain left-to-right product of the step
 bijections.  ``compose(a, b)`` is the same operation as ``a * b``.
 
 Group orders are exact Python integers; nothing here overflows.
+
+Two group types answer the same read-only queries (``degree``,
+``generators``, ``order``, ``base``, ``contains``): ``PermGroup``,
+carried by a stabilizer chain, and ``GiantGroup``, a symmetric or
+alternating group known by a theorem, which needs no chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -39,6 +45,20 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
+
+
+def _parity(a: tuple[int, ...]) -> int:
+    # a permutation of n points with c cycles (fixed points included) is
+    # a product of n - c transpositions
+    seen = bytearray(len(a))
+    cycles = 0
+    for i in range(len(a)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = 1
+                i = a[i]
+    return (len(a) - cycles) % 2
 
 
 @dataclass(frozen=True)
@@ -106,7 +126,7 @@ class Perm:
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
+        return _parity(self.images)
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -259,7 +279,9 @@ class PermGroup:
     identity or any generator already in the group of those before it.
 
     Built once by :func:`schreier_sims`; afterwards every query is
-    read-only, so instances are safe to share between threads.
+    read-only, so instances are safe to share between threads.  A group
+    known to be symmetric or alternating can be a :class:`GiantGroup`
+    instead, which answers the same queries without a chain.
     """
 
     degree: int
@@ -282,6 +304,49 @@ class PermGroup:
             raise DegreeMismatch(f"{p.degree} vs {self.degree}")
         residue, _ = _sift(self.chain, p.images)
         return all(i == x for i, x in enumerate(residue))
+
+
+@dataclass(frozen=True)
+class GiantGroup:
+    """The symmetric group S_m on {0, ..., m-1}, or the alternating group
+    A_m when ``alternating``, known without a stabilizer chain.
+
+    It answers the queries of :class:`PermGroup`.  ``order`` is m! or
+    m!/2; ``base`` is 0..m-2 or 0..m-3, the base of the natural chain;
+    ``contains`` is a degree check and, for A_m, a parity check.
+    ``generators`` is the standard pair: (0 1) and (0 1 ... m-1) for
+    S_m; (0 1 2) and (0 1 ... m-1) for A_m with m odd, (0 1 2) and
+    (1 2 ... m-1) with m even (the two coincide for A_3).
+    """
+
+    degree: int
+    alternating: bool = False
+
+    def __post_init__(self):
+        if self.degree < 3:
+            raise ValueError(f"giant group of degree {self.degree} < 3")
+
+    @cached_property
+    def generators(self) -> tuple[Perm, ...]:
+        m = self.degree
+        if not self.alternating:
+            return Perm.from_cycles(m, (0, 1)), Perm.from_cycles(m, range(m))
+        long = range(m) if m % 2 else range(1, m)
+        return tuple(dict.fromkeys((Perm.from_cycles(m, (0, 1, 2)),
+                                    Perm.from_cycles(m, long))))
+
+    @property
+    def order(self) -> int:
+        return math.factorial(self.degree) // (2 if self.alternating else 1)
+
+    @property
+    def base(self) -> tuple[int, ...]:
+        return tuple(range(self.degree - (2 if self.alternating else 1)))
+
+    def contains(self, p: Perm) -> bool:
+        if p.degree != self.degree:
+            raise DegreeMismatch(f"{p.degree} vs {self.degree}")
+        return not self.alternating or _parity(p.images) == 0
 
 
 def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
@@ -329,11 +394,11 @@ def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
                      chain=tuple(_Level(level.beta, level.inverses) for level in chain))
 
 
-def contains(group: PermGroup, p: Perm) -> bool:
+def contains(group: PermGroup | GiantGroup, p: Perm) -> bool:
     return group.contains(p)
 
 
-def recognize(group: PermGroup) -> str:
+def recognize(group: PermGroup | GiantGroup) -> str:
     """Name a group when the evidence is conclusive.
 
     Returns one of "trivial", "cyclic(k)", "alternating", "symmetric",

@@ -51,6 +51,8 @@ def parse_complex(obj) -> SimplicialComplex | CubicalComplex | Groupoid:
         if kind == "cubical":
             cubes = obj["cubes"]
             k = obj.get("dim")
+            if k is not None and type(k) is not int:   # bool is an int subclass
+                raise ParseError(f"cubical dim {k!r} is not an integer")
             if k is not None and cubes and any(len(key) != k for key in cubes[0]):
                 raise ParseError("corner keys do not match the declared dim")
             return build_cubical(cubes)

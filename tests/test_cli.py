@@ -172,6 +172,20 @@ def test_non_integer_vertex_id_is_input_error(tmp_path, capsys, obj, bad):
     assert f"vertex id {bad} is not an integer" in captured.err
 
 
+@pytest.mark.parametrize("dim,shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")],
+                         ids=["true", "float", "str"])
+def test_non_integer_cubical_dim_is_input_error(tmp_path, capsys, dim, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "cubical", "dim": dim, "cubes": [{"0": 0, "1": 1}]}))
+    code = main(["holonomy", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert f"cubical dim {shown} is not an integer" in captured.err
+
+
 def test_bundled_corpus_round_trips():
     for path in sorted(bundled_dir().glob("*.json")):
         if path.name.endswith("-state.json") or path.name.endswith("-connection.json"):
