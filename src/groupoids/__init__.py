@@ -31,7 +31,6 @@ from .games import (
     LabelledState,
     Puzzle,
     fifteen_puzzle_states,
-    game_groupoid_from_complex,
     grid_puzzle,
     ordered_state,
     puzzle_groupoid,
@@ -113,8 +112,6 @@ from .permgroup import (
     SignedPerm,
     all_in_even_subgroup,
     closure_small,
-    compose,
-    contains,
     recognize,
     schreier_sims,
     signed_parity,

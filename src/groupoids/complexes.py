@@ -2,7 +2,8 @@
 
 Ranked posets, pure simplicial complexes, cubical complexes given by
 corner-address maps, vertex maps between complexes, and the dual
-multigraph of facet adjacencies.  Construction validates everything up
+multigraph of facet adjacencies, plus the breadth-first search that the
+package's graph walks share.  Construction validates everything up
 front; afterwards all values are immutable and safe to share.
 
 Vertex identifiers are dense integers 0..n-1 throughout.  A k-cube is a
@@ -14,7 +15,6 @@ without any geometric embedding.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -44,6 +44,31 @@ class CornerCollision(ComplexError):
 
 class SemilatticeViolation(ComplexError):
     """Two closed cells meet in something other than a single common face."""
+
+
+def bfs(start, neighbours) -> dict:
+    """Breadth-first search from ``start``.
+
+    Returns every reached node, in visiting order, mapped to the node it
+    was first reached from; ``start`` maps to None.  ``neighbours(u)``
+    lists the nodes next to u, and its order decides the parents.
+    """
+    parent = {start: None}
+    order = [start]
+    for u in order:
+        for v in neighbours(u):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return parent
+
+
+def tree_path(parent: dict, v) -> list:
+    """The path from the root of a ``bfs`` tree down to ``v``."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 @dataclass(frozen=True)
@@ -79,15 +104,7 @@ class RankedPoset:
 
     def down_set(self, x) -> set:
         """All elements <= x."""
-        seen = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for z in self.lower_covers[y]:
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        return seen
+        return set(bfs(x, self.lower_covers.__getitem__))
 
     def maximal_elements(self) -> tuple:
         uppers = {lo for lo, _ in self.covers}
@@ -222,9 +239,6 @@ class CubicalComplex:
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
         return self.cubes
-
-    def corner_bits(self, cube: int, vertex: int) -> tuple[int, ...]:
-        return _index_bits(self.corner_index[cube][vertex], self.dim)
 
     @cached_property
     def corner_index(self) -> tuple[dict[int, int], ...]:
@@ -406,22 +420,13 @@ class DualMultigraph:
         return {i: tuple(sorted(v)) for i, v in out.items()}
 
     def components(self) -> list[list[int]]:
+        """Each component's nodes in visiting order, by least node."""
+        comps: list[list[int]] = []
         seen: set[int] = set()
-        comps = []
         for start in range(self.node_count):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for _, v in self.adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(comp)
+            if start not in seen:
+                comps.append(list(bfs(start, lambda u: (v for _, v in self.adjacency[u]))))
+                seen.update(comps[-1])
         return comps
 
     def is_connected(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
@@ -20,8 +19,10 @@ from .complexes import (
     ComplexError,
     CubicalComplex,
     SimplicialComplex,
+    bfs,
     build_cubical,
     build_simplicial,
+    tree_path,
 )
 from .invariants import AdjacentVertices, SharedCell, quotient_identify
 
@@ -246,7 +247,8 @@ def _random_quotient(rng: random.Random, i: int) -> CorpusItem | None:
     for _attempt in range(20):
         u = rng.randrange(K.vertex_count)
         v = rng.randrange(K.vertex_count)
-        if u == v or _graph_distance(adj, u, v) < 3:
+        # the full grid is connected, so the search always reaches v
+        if u == v or len(tree_path(bfs(u, adj.__getitem__), v)) - 1 < 3:
             continue
         try:
             return CorpusItem(f"quotient{w}x{h}-{i}", "quotient",
@@ -254,20 +256,6 @@ def _random_quotient(rng: random.Random, i: int) -> CorpusItem | None:
         except (AdjacentVertices, SharedCell, ComplexError):
             continue
     return None
-
-
-def _graph_distance(adj: dict[int, set[int]], u: int, v: int) -> int:
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            return dist[x]
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return 10 ** 9
 
 
 def bundled_dir() -> Path:

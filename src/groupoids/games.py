@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .complexes import CubicalComplex, DualMultigraph, SimplicialComplex
+from .complexes import DualMultigraph, bfs, tree_path
 from .groupoid import Groupoid
 from .holonomy import holonomy
 from .permgroup import GiantGroup, Perm, PermGroup
@@ -59,7 +59,7 @@ class Puzzle:
         for a, b in self.edges:
             if a == b or not (0 <= a < self.cell_count and 0 <= b < self.cell_count):
                 raise DegenerateBoard(f"bad edge {(a, b)}")
-        if not self._connected():
+        if len(bfs(0, self.adjacency.__getitem__)) != self.cell_count:
             raise DegenerateBoard("board graph must be connected")
 
     @cached_property
@@ -72,16 +72,6 @@ class Puzzle:
             out[a].append(b)
             out[b].append(a)
         return tuple(tuple(sorted(ns)) for ns in out)
-
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for v in self.adjacency[queue.popleft()]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.cell_count
 
     @property
     def piece_count(self) -> int:
@@ -128,10 +118,6 @@ class LabelledState:
         return LabelledState(hole=hole, placement=tuple(
             _shared_pair((str(k), int(v))) for k, v in placement.items()))
 
-    @property
-    def cells(self) -> dict[str, int]:
-        return dict(self.placement)
-
     def validate(self, board: Puzzle) -> None:
         occupied = [c for _, c in self.placement]
         if len(set(occupied)) != len(occupied):
@@ -160,15 +146,6 @@ def fifteen_puzzle_states() -> tuple[Puzzle, LabelledState, LabelledState]:
     return board, start, target
 
 
-def game_groupoid_from_complex(K: SimplicialComplex | CubicalComplex) -> Groupoid:
-    """Positions are facets, moves are ridge flips.
-
-    This is exactly the facet-flip groupoid of the complex; the games
-    view adds nothing but vocabulary.
-    """
-    return Groupoid.from_complex(K)
-
-
 def _apply_hole_path(board: Puzzle, occupancy: dict[int, str], path: list[int]) -> dict[int, str]:
     occ = dict(occupancy)
     for here, there in zip(path, path[1:]):
@@ -176,25 +153,6 @@ def _apply_hole_path(board: Puzzle, occupancy: dict[int, str], path: list[int]) 
             raise BoardMismatch(f"cells {here}, {there} are not adjacent")
         occ[here] = occ.pop(there)
     return occ
-
-
-def _hole_path(board: Puzzle, start: int, goal: int) -> list[int]:
-    parent: dict[int, int] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        if u == goal:
-            break
-        for v in board.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                queue.append(v)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return path[::-1]
 
 
 def puzzle_groupoid(board: Puzzle) -> Groupoid:
@@ -252,19 +210,11 @@ def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:
 
 
 def _bipartite(adjacency: Sequence[Sequence[int]]) -> bool:
-    """BFS 2-colouring of a connected graph."""
-    color = [-1] * len(adjacency)
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
+    """2-colouring of a connected graph by BFS depth parity."""
+    color: dict[int, int] = {}
+    for v, p in bfs(0, adjacency.__getitem__).items():
+        color[v] = 0 if p is None else 1 - color[p]
+    return all(color[u] != color[v] for u in color for v in adjacency[u])
 
 
 def wilson_group(board: Puzzle) -> GiantGroup | None:
@@ -321,7 +271,7 @@ def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     if {p for p, _ in a.placement} != {p for p, _ in b.placement}:
         raise BoardMismatch("states use different piece labels")
     occ_a = {c: p for p, c in a.placement}
-    path = _hole_path(board, a.hole, b.hole)
+    path = tree_path(bfs(a.hole, board.adjacency.__getitem__), b.hole)
     occ_a = _apply_hole_path(board, occ_a, path)
 
     slots = [c for c in range(board.cell_count) if c != b.hole]

@@ -105,17 +105,10 @@ class Groupoid:
     flips: dict[tuple[int, int, int], dict[int, int]]
     corner_maps: tuple[tuple[int, ...], ...] | None = None
     cube_dim: int | None = None
-    complex: SimplicialComplex | CubicalComplex | None = None
 
     @property
     def object_count(self) -> int:
         return len(self.object_vertices)
-
-    def flip(self, source: int, target: int, ridge: int) -> dict[int, int]:
-        try:
-            return self.flips[(source, target, ridge)]
-        except KeyError:
-            raise NotAdjacent(f"no flip {source} -> {target} over ridge {ridge}")
 
     @staticmethod
     def from_complex(K: SimplicialComplex | CubicalComplex) -> "Groupoid":
@@ -137,7 +130,6 @@ class Groupoid:
             flips=flips,
             corner_maps=corner_maps,
             cube_dim=cube_dim,
-            complex=K,
         )
 
 
@@ -153,35 +145,29 @@ def _flip_bijection(K, i: int, j: int, ridge: frozenset) -> dict[int, int]:
     return _cube_flip(K, i, j, ridge)
 
 
-def _frozen_coordinate(K: CubicalComplex, cube: int, ridge: frozenset) -> tuple[int, int]:
-    """The (coordinate, bit) pinning this ridge inside the cube."""
-    for free, fixed, verts in K.cube_face_lists[cube]:
-        if len(free) == K.dim - 1 and verts == ridge:
-            (coord, bit), = fixed.items()
-            return coord, bit
-    raise NotAdjacent(f"ridge {sorted(ridge)} is not a facet of cube {cube}")
+def _ridge_axis(index: dict[int, int], ridge: frozenset, k: int) -> int:
+    """Bitmask of the one corner coordinate that stays constant across
+    the ridge, from a cube's vertex -> corner index map."""
+    first = index[next(iter(ridge))]
+    varying = 0
+    for v in ridge:
+        varying |= index[v] ^ first
+    axis = ~varying & ((1 << k) - 1)
+    if axis.bit_count() != 1:
+        raise NotAdjacent(f"ridge {sorted(ridge)} is not a facet of the cube")
+    return axis
 
 
 def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: frozenset) -> dict[int, int]:
-    k = K.dim
     ci, cj = K.cubes[i], K.cubes[j]
-    coord_i, bit_i = _frozen_coordinate(K, i, ridge)
-    coord_j, bit_j = _frozen_coordinate(K, j, ridge)
-    index_j = K.corner_index[j]
-    bij: dict[int, int] = {}
-    for idx in range(1 << k):
-        bits = list(_index_bits(idx, k))
-        crossed = bits[coord_i] != bit_i
-        bits[coord_i] = bit_i
-        # land at the shared vertex, then cross in j's frozen direction
-        shared = ci[_addr_index(tuple(bits))]
-        tbits = list(_index_bits(index_j[shared], k))
-        if crossed:
-            tbits[coord_j] = 1 - bit_j
-        bij[ci[idx]] = cj[_addr_index(tuple(tbits))]
+    index_i, index_j = K.corner_index[i], K.corner_index[j]
+    axis_i = _ridge_axis(index_i, ridge, K.dim)
+    axis_j = _ridge_axis(index_j, ridge, K.dim)
+    # fix the ridge; each corner across it in i lands across it in j
+    bij = {v: v for v in ridge}
+    bij.update((ci[index_i[v] ^ axis_i], cj[index_j[v] ^ axis_j]) for v in ridge)
     # defensive: the address map must be a cube symmetry
-    corner_map_signed(tuple(ci[idx] for idx in range(1 << k)),
-                      tuple(cj[idx] for idx in range(1 << k)), bij)
+    corner_map_signed(ci, cj, bij)
     return bij
 
 

@@ -52,7 +52,8 @@ class Graph:
         return tuple(frozenset(s) for s in adj)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in set(self.edges)
+        # range check first: adjacency[-1] would wrap to the last vertex
+        return 0 <= a < self.vertex_count and b in self.adjacency[a]
 
 
 def complete_graph(n: int) -> Graph:

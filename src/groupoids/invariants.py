@@ -10,19 +10,20 @@ vertex identifications build complexes where they differ.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import (
     CubicalComplex,
     SimplicialComplex,
+    bfs,
     build_cubical,
     facet_adjacency,
+    tree_path,
 )
 from .groupoid import Groupoid
 from .holonomy import NotConnected, holonomy, spanning_tree
-from .permgroup import signed_parity
+from .permgroup import all_in_even_subgroup
 
 
 class AdjacentVertices(ValueError):
@@ -77,43 +78,35 @@ class NaclResult:
 def nacl(K: SimplicialComplex | CubicalComplex) -> NaclResult:
     """0 iff the vertex-edge graph is bipartite.
 
-    Carries a witness either way: the 2-coloring, or an odd cycle.
+    Carries a witness either way: the 2-coloring by BFS depth parity,
+    or the odd cycle closed by the first edge, in visiting order, whose
+    ends share a colour.
     """
     adj: dict[int, list[int]] = {v: [] for v in range(K.vertex_count)}
     for a, b in K.skeleton_edges:
         adj[a].append(b)
         adj[b].append(a)
-    color: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for start in range(K.vertex_count):
-        if start in color:
-            continue
-        color[start] = 0
-        parent[start] = None
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return NaclResult(1, None, _odd_cycle(parent, u, v))
+        if start not in parent:
+            parent |= bfs(start, adj.__getitem__)
+    color: dict[int, int] = {}
+    for v, p in parent.items():
+        color[v] = 0 if p is None else 1 - color[p]
+    for u in parent:
+        for v in adj[u]:
+            if color[u] == color[v]:
+                return NaclResult(1, None, _odd_cycle(parent, u, v))
     return NaclResult(0, TwoColoring(color), None)
 
 
 def _odd_cycle(parent: dict, u: int, v: int) -> tuple[int, ...]:
-    up, vp = [u], [v]
-    while parent[up[-1]] is not None:
-        up.append(parent[up[-1]])
-    while parent[vp[-1]] is not None:
-        vp.append(parent[vp[-1]])
-    # trim the common tail above the least common ancestor
-    while len(up) > 1 and len(vp) > 1 and up[-2] == vp[-2]:
-        up.pop()
-        vp.pop()
-    cycle = up + vp[:-1][::-1]
+    up, vp = tree_path(parent, u), tree_path(parent, v)
+    # skip the common stem above the least common ancestor up[i]
+    i = 0
+    while i + 1 < min(len(up), len(vp)) and up[i + 1] == vp[i + 1]:
+        i += 1
+    cycle = up[i:][::-1] + vp[i + 1:]
     if len(cycle) % 2 == 0:
         raise InconsistentExtension(f"witness cycle {cycle} is even")
     return tuple(cycle)
@@ -128,9 +121,8 @@ def i_invariant(K: CubicalComplex) -> int:
     """
     g = Groupoid.from_complex(K)
     for component in g.dual.components():
-        base = min(component)
-        result = holonomy(g, base, require_connected=False)
-        if any(signed_parity(s) == 1 for s in result.signed_generators):
+        result = holonomy(g, min(component), require_connected=False)
+        if not all_in_even_subgroup(result.signed_generators):
             return 1
     return 0
 
@@ -142,17 +134,10 @@ def locally_strongly_connected(K: SimplicialComplex | CubicalComplex) -> bool:
     for i, f in enumerate(K.facets):
         for v in f:
             stars[v].append(i)
-    for v, star in enumerate(stars):
-        seen = set(star[:1])
-        queue = star[:1]
-        while queue:
-            for rid, w in dual.adjacency[queue.pop()]:
-                if w not in seen and v in dual.ridges[rid]:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(star):
-            return False
-    return True
+    return all(
+        len(bfs(star[0], lambda f: (w for rid, w in dual.adjacency[f]
+                                    if v in dual.ridges[rid]))) == len(star)
+        for v, star in enumerate(stars) if star)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Composition convention
 Products read left to right: ``a * b`` means "apply ``a`` first, then
 ``b``", so ``(a * b)(x) == b(a(x))``.  Transport along a path written
 source-to-target is then a plain left-to-right product of the step
-bijections.  ``compose(a, b)`` is the same operation as ``a * b``.
+bijections.
 
 Group orders are exact Python integers; nothing here overflows.
 
@@ -122,16 +122,11 @@ class Perm:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
         return _parity(self.images)
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Left-to-right product: apply ``a``, then ``b``."""
-    return a * b
 
 
 def closure_small(gens: Iterable[Perm], degree: int | None = None,
@@ -392,10 +387,6 @@ def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
                 i = j
     return PermGroup(degree=degree, generators=tuple(kept),
                      chain=tuple(_Level(level.beta, level.inverses) for level in chain))
-
-
-def contains(group: PermGroup | GiantGroup, p: Perm) -> bool:
-    return group.contains(p)
 
 
 def recognize(group: PermGroup | GiantGroup) -> str:

@@ -20,7 +20,7 @@ from pathlib import Path
 from .complexes import CubicalComplex, SimplicialComplex, build_cubical, build_simplicial
 from .games import LabelledState
 from .graphconn import GraphConnection
-from .groupoid import Groupoid, TransportPath, tribar_groupoid
+from .groupoid import Groupoid, tribar_groupoid
 from .holonomy import HolonomyResult
 from .homcx import Graph
 from .permgroup import Perm, SignedPerm
@@ -134,10 +134,6 @@ def perm_to_list(p: Perm) -> list[int]:
 
 def signed_perm_to_dict(s: SignedPerm) -> dict:
     return {"perm": list(s.perm.images), "signs": list(s.signs)}
-
-
-def transport_to_wire(t: TransportPath) -> list[int]:
-    return t.to_wire()
 
 
 def holonomy_to_dict(r: HolonomyResult) -> dict:

@@ -92,3 +92,42 @@ def test_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top == "__future__" or top in sys.stdlib_module_names, \
                     f"{path.name} imports {name}"
+
+
+def _nodes_by_owner(path: Path):
+    """Every AST node of a module with the dotted name of the innermost
+    def or class around it ("" at module level)."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            yield name, child
+            yield from walk(child, name)
+    yield from walk(ast.parse(path.read_text(), filename=str(path)), "")
+
+
+def test_graph_walks_go_through_the_shared_bfs():
+    """Hand-written queue and stack searches stay where they must: the
+    spanning tree composes transports as it walks, the cut-vertex test is
+    a lowpoint DFS, and the oracles stay independent of the code they
+    check.  Every other walk calls complexes.bfs."""
+    deque_users, worklists = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _nodes_by_owner(path):
+            where = f"{path.stem}.{owner}"
+            if isinstance(node, ast.Name) and node.id == "deque" \
+                    or isinstance(node, ast.Attribute) and node.attr == "deque":
+                deque_users.add(where)
+            if isinstance(node, ast.alias) and node.name == "deque":
+                assert node.asname is None, f"{where} renames deque"
+            # `while todo:` popping from todo is a worklist search
+            if isinstance(node, ast.While) and isinstance(node.test, ast.Name) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("pop", "popleft")
+                    and isinstance(n.func.value, ast.Name) and n.func.value.id == node.test.id
+                    for n in ast.walk(node)):
+                worklists.add(where)
+    assert deque_users == {"holonomy.spanning_tree", "games.reachable_bfs"}
+    assert worklists == {"holonomy.spanning_tree", "holonomy.closed_path_oracle",
+                         "games._has_cut_vertex", "games.reachable_bfs"}

@@ -10,30 +10,30 @@ from groupoids.games import (
     LabelledState,
     Puzzle,
     fifteen_puzzle_states,
-    game_groupoid_from_complex,
     grid_puzzle,
     ordered_state,
     puzzle_holonomy,
     reachable,
     reachable_bfs,
 )
+from groupoids.groupoid import Groupoid
 from groupoids.holonomy import holonomy
 from groupoids.permgroup import recognize
 
 
 def test_game_groupoid_from_complex():
     K = simplex_boundary(3)
-    g = game_groupoid_from_complex(K)
+    g = Groupoid.from_complex(K)
     assert g.object_count == 4
     assert len(g.dual.edges) == 6
-    single = game_groupoid_from_complex(simplex_boundary(3))
+    single = Groupoid.from_complex(simplex_boundary(3))
     # identical structure to the flip groupoid: same holonomy
     assert holonomy(g).order == holonomy(single).order
 
 
 def test_single_facet_game():
     from groupoids.complexes import build_simplicial
-    g = game_groupoid_from_complex(build_simplicial([[0, 1, 2]]))
+    g = Groupoid.from_complex(build_simplicial([[0, 1, 2]]))
     assert g.object_count == 1
     assert g.dual.edges == ()
 

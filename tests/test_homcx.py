@@ -111,6 +111,10 @@ def test_restriction_map():
             assert r.dim == 0
     with pytest.raises(EdgeNotInGraph):
         restriction_map(C5, cells[0], (0, 2))
+    # (-1, 0) must not wrap to the edge (4, 0)
+    for e in ((-1, 0), (0, 5), (2, 2)):
+        with pytest.raises(EdgeNotInGraph):
+            restriction_map(C5, cells[0], e)
 
 
 def test_restriction_commutes_with_faces():
