@@ -2,10 +2,13 @@
 
 Each case is one ``groupoids --format json`` call: ``holonomy`` at
 ``--base`` 0 and 1, ``invariants`` and ``connection`` at ``--base`` 0
-and 1 on every bundled corpus file, ``puzzle holonomy`` on a few grid
-boards at holes 0, 1 and 3, and three bases out of range.  A case records the argument list, the
-exit code, stdout, and the ``error:`` lines of stderr (the ``elapsed``
-line is dropped).  Corpus files are written as ``corpus/<name>``.
+and 1 on every bundled corpus file, ``connection`` at ``--base`` 0 and 1
+on the seeded random connections in ``tests/connections/``, ``puzzle
+holonomy`` on a few grid boards at holes 0, 1 and 3, and three bases out
+of range.  A case records the argument list, the exit code, stdout, and
+the ``error:`` lines of stderr (the ``elapsed`` line is dropped).  Corpus
+files are written as ``corpus/<name>``, test inputs by their path from
+the repository root.
 
 Run it on the commit whose output the tests should pin:
 
@@ -23,6 +26,10 @@ from pathlib import Path
 from groupoids.cli import main
 from groupoids.corpus import bundled_dir
 
+ROOT = Path(__file__).resolve().parents[1]
+# random connections on K10 and K14 whose holonomy is the symmetric group
+CONNECTIONS = ("tests/connections/k10-random-connection.json",
+               "tests/connections/k14-random-connection.json")
 BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5", "5x5", "6x6", "3x7")
 HOLES = (0, 1, 3)
 
@@ -36,6 +43,8 @@ def cases() -> dict[str, list[list[str]]]:
         for base in ("0", "1"):
             out["holonomy"].append(["holonomy", path, "--base", base])
             out["connection"].append(["connection", path, "--base", base])
+    out["connection"] += [["connection", path, "--base", base]
+                          for path in CONNECTIONS for base in ("0", "1")]
     out["puzzle"] = [["puzzle", "holonomy", "--board", board, "--base", str(hole)]
                      for board in BOARDS for hole in HOLES]
     out["puzzle"].append(["puzzle", "holonomy", "--board", "2x2", "--base", "4"])
@@ -46,7 +55,8 @@ def cases() -> dict[str, list[list[str]]]:
 
 def run_case(argv: list[str]) -> dict:
     """One in-process CLI call on a case's argument list."""
-    real = [str(bundled_dir() / a[len("corpus/"):]) if a.startswith("corpus/") else a
+    real = [str(bundled_dir() / a[len("corpus/"):]) if a.startswith("corpus/")
+            else str(ROOT / a) if a.startswith("tests/") else a
             for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
