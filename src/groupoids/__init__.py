@@ -40,6 +40,7 @@ from .games import (
 from .graphconn import (
     GraphConnection,
     InvalidConnection,
+    InvalidTable,
     NotRegular,
     connection_groupoid,
     connection_holonomy,
@@ -112,6 +113,7 @@ from .permgroup import (
     SignedPerm,
     all_in_even_subgroup,
     closure_small,
+    jordan_giant,
     recognize,
     schreier_sims,
     signed_parity,

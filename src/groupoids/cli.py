@@ -30,7 +30,7 @@ from .homcx import (
     induced_swap_action,
 )
 from .invariants import compare_invariants
-from .graphconn import InvalidConnection, NotRegular, connection_holonomy, validate_connection
+from .graphconn import InvalidConnection, InvalidTable, NotRegular, connection_holonomy
 from .permgroup import recognize
 from .serialize import (
     ParseError,
@@ -164,12 +164,12 @@ def cmd_hom(args) -> int:
 
 def cmd_connection(args) -> int:
     c = parse_connection(load_json(args.input))
-    ok = validate_connection(c)
-    results: dict = {"valid": bool(ok), "witness": ok.witness}
-    if ok:
+    try:
         group = connection_holonomy(c, args.base)
-        results["order"] = str(group.order)
-        results["tag"] = recognize(group)
+        results: dict = {"valid": True, "witness": None,
+                         "order": str(group.order), "tag": recognize(group)}
+    except InvalidTable as e:
+        results = {"valid": False, "witness": str(e)}
     report = {"command": "connection", "input": _digest(args.input), "results": results}
     _emit(report, args.format, lambda r: [
         f"valid: {r['valid']}" + (f" ({r['witness']})" if r["witness"] else ""),

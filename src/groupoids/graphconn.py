@@ -22,7 +22,7 @@ from .complexes import DualMultigraph
 from .groupoid import Groupoid
 from .holonomy import NotConnected, holonomy
 from .homcx import Graph
-from .permgroup import PermGroup
+from .permgroup import GiantGroup, PermGroup
 
 
 class NotRegular(ValueError):
@@ -30,7 +30,11 @@ class NotRegular(ValueError):
 
 
 class InvalidConnection(ValueError):
-    """The supplied table violates a connection axiom."""
+    """The connection has no holonomy at the requested base."""
+
+
+class InvalidTable(InvalidConnection):
+    """A table violates a connection axiom; the message is the witness."""
 
 
 OrientedEdge = tuple[int, int]
@@ -71,11 +75,12 @@ def validate_connection(c: GraphConnection) -> ConnectionReport:
     for e in oriented:
         if e not in c.nabla:
             return ConnectionReport(False, f"missing table for edge {e}")
+    stars = [{(x, w) for w in ws} for x, ws in enumerate(c.graph.adjacency)]
     for x, y in oriented:
         table = c.nabla[(x, y)]
-        if set(table) != set(star(c.graph, x)):
+        if table.keys() != stars[x]:
             return ConnectionReport(False, f"table domain wrong at {(x, y)}")
-        if set(table.values()) != set(star(c.graph, y)):
+        if set(table.values()) != stars[y]:
             return ConnectionReport(False, f"table image wrong at {(x, y)}")
         if table[(x, y)] != (y, x):
             return ConnectionReport(
@@ -140,15 +145,19 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     )
 
 
-def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup:
+def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup | GiantGroup:
     """Holonomy at a vertex: fundamental-cycle transport of its star.
 
     The group acts on the star's positions (targets in increasing
-    order), so its degree equals the graph's regularity.
+    order), so its degree equals the graph's regularity.  It comes from
+    :func:`holonomy.holonomy`: a group that Jordan's theorem certifies
+    is a ``GiantGroup`` whose ``generators`` are the standard pair, not
+    loops.  Raises ``InvalidTable`` with the witness of
+    :func:`validate_connection` when a table breaks an axiom.
     """
     report = validate_connection(c)
     if not report:
-        raise InvalidConnection(report.witness)
+        raise InvalidTable(report.witness)
     n = c.graph.vertex_count
     if not 0 <= base < n:
         raise InvalidConnection(f"base {base} is not a vertex; vertices are 0..{n - 1}")

@@ -23,7 +23,16 @@ from .complexes import (
     facet_adjacency,
 )
 from .groupoid import Groupoid, corner_map_signed
-from .permgroup import Perm, PermGroup, SignedPerm, closure_small, recognize, schreier_sims
+from .permgroup import (
+    GiantGroup,
+    Perm,
+    PermGroup,
+    SignedPerm,
+    closure_small,
+    jordan_giant,
+    recognize,
+    schreier_sims,
+)
 
 
 class NotConnected(ValueError):
@@ -42,7 +51,7 @@ class NotNondegenerate(ValueError):
 class HolonomyResult:
     base: int
     generators: tuple[Perm, ...]
-    group: PermGroup
+    group: PermGroup | GiantGroup
     tree_edges: tuple[tuple[int, int, int], ...]
     vertex_bijections: tuple[dict[int, int], ...]
     signed_generators: tuple[SignedPerm, ...] | None
@@ -105,6 +114,12 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
              require_connected: bool = True) -> HolonomyResult:
     """Holonomy group at a base object of a groupoid.
 
+    The group is a ``GiantGroup`` when :func:`permgroup.jordan_giant`
+    certifies the loops as the symmetric or alternating group; its
+    ``generators`` are then the standard pair.  Otherwise it is the
+    stabilizer chain of the loops.  ``HolonomyResult.generators`` lists
+    every loop either way.
+
     With ``require_connected`` unset, a disconnected dual graph yields
     the holonomy of the base's component.
     """
@@ -132,7 +147,7 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     # group at once, so the chain keeps fewer loops and sifts the rest to
     # the identity.
     by_moved = sorted(gens, key=lambda p: sum(i != x for i, x in enumerate(p.images)), reverse=True)
-    group = schreier_sims(by_moved, degree=degree)
+    group = jordan_giant(by_moved, degree) or schreier_sims(by_moved, degree=degree)
 
     signed = None
     outer = math.factorial(degree)

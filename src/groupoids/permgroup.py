@@ -13,16 +13,21 @@ Two group types answer the same read-only queries (``degree``,
 ``generators``, ``order``, ``base``, ``contains``): ``PermGroup``,
 carried by a stabilizer chain, and ``GiantGroup``, a symmetric or
 alternating group known by a theorem, which needs no chain.
+``jordan_giant`` certifies giants from their generators by Jordan's
+theorem.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+from .complexes import bfs
 
 
 class DegreeMismatch(ValueError):
@@ -47,18 +52,25 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cycle_lengths(a: tuple[int, ...]) -> list[int]:
+    """The length of every cycle of a, fixed points included."""
+    seen = bytearray(len(a))
+    lengths = []
+    for i in range(len(a)):
+        length = 0
+        while not seen[i]:
+            seen[i] = 1
+            i = a[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
 def _parity(a: tuple[int, ...]) -> int:
     # a permutation of n points with c cycles (fixed points included) is
     # a product of n - c transpositions
-    seen = bytearray(len(a))
-    cycles = 0
-    for i in range(len(a)):
-        if not seen[i]:
-            cycles += 1
-            while not seen[i]:
-                seen[i] = 1
-                i = a[i]
-    return (len(a) - cycles) % 2
+    return (len(a) - len(_cycle_lengths(a))) % 2
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,7 @@ class Perm:
         return out
 
     def order(self) -> int:
-        return math.lcm(*map(len, self.cycles()))
+        return math.lcm(*_cycle_lengths(self.images))
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
@@ -387,6 +399,65 @@ def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
                 i = j
     return PermGroup(degree=degree, generators=tuple(kept),
                      chain=tuple(_Level(level.beta, level.inverses) for level in chain))
+
+
+# Random group elements jordan_giant tries after the generators.  In a
+# giant of degree n, a share 1/p of the elements has a p-cycle for each
+# prime p > n/2, about ln 2 / ln n in all and at least 1 in 11 from
+# degree 8 to 2000, so a giant almost never runs out; a group that is
+# not giant runs the whole walk.
+JORDAN_BUDGET = 100
+
+
+def jordan_giant(gens: Iterable[Perm], degree: int) -> GiantGroup | None:
+    """<gens> as a ``GiantGroup`` when Jordan's theorem certifies it, else None.
+
+    The certificate has two parts: <gens> is transitive, and some element
+    has a cycle of prime length p with n/2 < p <= n - 3, where n is the
+    degree.  That element is looked for first among the generators, then
+    along a product-replacement walk of ``JORDAN_BUDGET`` steps, seeded
+    with a fixed seed so that the same generators always give the same
+    answer (Seress, *Permutation Group Algorithms*, 10.2).
+
+    Proof.  The other cycles of such an element have lengths at most
+    n - p < p, hence prime to p, so a power of the element is a p-cycle
+    c.  A transitive group containing c is primitive: a block system
+    with blocks of size b, 1 < b <= n/2, has n/b < p blocks, and the
+    orbits of <c> on the blocks have size 1 or p, so c fixes every
+    block; then the p points that c moves, one orbit of <c>, lie in one
+    block, of size at least p > n/2.  A primitive group containing a p-cycle with p <= n - 3
+    contains A_n (Jordan; Wielandt, *Finite Permutation Groups*, 13.9).
+    It is S_n when some generator is odd, A_n otherwise.
+
+    None means only that no certificate was found: below degree 8 there
+    is no such prime, and fewer than two distinct non-identity
+    generators make a cyclic group, which is never giant there.
+    """
+    if degree < 8:
+        return None
+    ident = tuple(range(degree))
+    raw = [a for a in dict.fromkeys(g.images for g in gens) if a != ident]
+    if any(len(a) != degree for a in raw):
+        raise DegreeMismatch("mixed degrees in generating set")
+    if len(raw) < 2 or len(bfs(0, lambda x: [a[x] for a in raw])) < degree:
+        return None
+    primes = {p for p in range(degree // 2 + 1, degree - 2)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))}
+
+    def certifies(a: tuple[int, ...]) -> bool:
+        return not primes.isdisjoint(_cycle_lengths(a))
+
+    if not any(map(certifies, raw)):
+        rng = random.Random(0)
+        slots = (raw * 10)[:max(10, len(raw))]
+        for _ in range(JORDAN_BUDGET):
+            i, j = rng.sample(range(len(slots)), 2)
+            slots[i] = _mul(slots[i], slots[j]) if rng.random() < 0.5 else _mul(slots[j], slots[i])
+            if certifies(slots[i]):
+                break
+        else:
+            return None
+    return GiantGroup(degree, alternating=not any(map(_parity, raw)))
 
 
 def recognize(group: PermGroup | GiantGroup) -> str:

@@ -1,10 +1,14 @@
+import json
 import random
+import re
 
 import pytest
 
+from groupoids import cli, graphconn
 from groupoids.graphconn import (
     GraphConnection,
     InvalidConnection,
+    InvalidTable,
     NotRegular,
     connection_holonomy,
     cycle_connection,
@@ -14,6 +18,7 @@ from groupoids.graphconn import (
 )
 from groupoids.homcx import Graph, complete_graph, cycle_graph, path_graph
 from groupoids.permgroup import recognize
+from groupoids.serialize import connection_to_dict
 
 
 def test_cycle_connection_forced_and_valid():
@@ -110,3 +115,57 @@ def test_invalid_connection_raises_on_holonomy():
 def test_star_ordering():
     g = complete_graph(4)
     assert star(g, 2) == ((2, 0), (2, 1), (2, 3))
+
+
+def _swap(table, a, b):
+    table[a], table[b] = table[b], table[a]
+
+
+# One broken rotation connection on K4 per witness; each edit breaks
+# only the check that reports it.
+BROKEN = {
+    "missing table for edge (2, 3)": lambda nabla: nabla.pop((2, 3)),
+    "table domain wrong at (0, 1)": lambda nabla: nabla[(0, 1)].pop((0, 2)),
+    "table image wrong at (0, 1)": lambda nabla: nabla[(0, 1)].update(
+        {(0, 2): nabla[(0, 1)][(0, 3)]}),
+    "edge (0, 1) must cross to (1, 0)": lambda nabla: _swap(nabla[(0, 1)], (0, 1), (0, 2)),
+    "tables at (0, 1) and (1, 0) are not inverse": lambda nabla: _swap(
+        nabla[(0, 1)], (0, 2), (0, 3)),
+}
+
+
+def _count_validations(monkeypatch) -> list:
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return validate_connection(c)
+    monkeypatch.setattr(graphconn, "validate_connection", spy)
+    monkeypatch.setattr(cli, "validate_connection", spy, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("witness", BROKEN)
+def test_each_violation_keeps_its_witness(witness, tmp_path, capsys, monkeypatch):
+    c = rotation_connection(complete_graph(4))
+    nabla = {k: dict(v) for k, v in c.nabla.items()}
+    BROKEN[witness](nabla)
+    broken = GraphConnection(c.graph, nabla)
+    assert validate_connection(broken).witness == witness
+    with pytest.raises(InvalidTable, match=re.escape(witness)):
+        connection_holonomy(broken)
+    path = tmp_path / "broken-connection.json"
+    path.write_text(json.dumps(connection_to_dict(broken)))
+    calls = _count_validations(monkeypatch)
+    assert cli.main(["--format", "json", "connection", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"valid": False, "witness": witness}
+    assert len(calls) == 1
+
+
+def test_cli_validates_a_connection_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k4-connection.json"
+    path.write_text(json.dumps(connection_to_dict(rotation_connection(complete_graph(4)))))
+    calls = _count_validations(monkeypatch)
+    assert cli.main(["--format", "json", "connection", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["order"] == "3"
+    assert len(calls) == 1
