@@ -3,7 +3,9 @@
 Each case is one ``groupoids --format json`` call: ``holonomy`` at
 ``--base`` 0 and 1, ``invariants`` and ``connection`` at ``--base`` 0
 and 1 on every bundled corpus file, ``connection`` at ``--base`` 0 and 1
-on the seeded random connections in ``tests/connections/``, ``puzzle
+on the seeded random connections in ``tests/connections/``,
+``holonomy`` at ``--base`` 0 and 1 and ``invariants`` on the scrambled
+cubical complexes in ``tests/complexes/``, ``puzzle
 holonomy`` on a few grid boards at holes 0, 1 and 3, and three bases out
 of range.  A case records the argument list, the exit code, stdout, and
 the ``error:`` lines of stderr (the ``elapsed`` line is dropped).  Corpus
@@ -30,6 +32,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # random connections on K10 and K14 whose holonomy is the symmetric group
 CONNECTIONS = ("tests/connections/k10-random-connection.json",
                "tests/connections/k14-random-connection.json")
+# cubical complexes of dimension 3 and 4 with scrambled corner orders
+COMPLEXES = ("tests/complexes/skel4-3-scrambled.json",
+             "tests/complexes/skel5-4-scrambled.json",
+             "tests/complexes/cubes2x2x2-scrambled.json")
 BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5", "5x5", "6x6", "3x7")
 HOLES = (0, 1, 3)
 
@@ -45,6 +51,9 @@ def cases() -> dict[str, list[list[str]]]:
             out["connection"].append(["connection", path, "--base", base])
     out["connection"] += [["connection", path, "--base", base]
                           for path in CONNECTIONS for base in ("0", "1")]
+    for path in COMPLEXES:
+        out["invariants"].append(["invariants", path])
+        out["holonomy"] += [["holonomy", path, "--base", base] for base in ("0", "1")]
     out["puzzle"] = [["puzzle", "holonomy", "--board", board, "--base", str(hole)]
                      for board in BOARDS for hole in HOLES]
     out["puzzle"].append(["puzzle", "holonomy", "--board", "2x2", "--base", "4"])
