@@ -7,8 +7,9 @@ package's graph walks share.  Construction validates everything up
 front; afterwards all values are immutable and safe to share.
 
 Vertex identifiers are dense integers 0..n-1 throughout.  A k-cube is a
-map from corner addresses {0,1}^k to vertices; internally an address is
-a tuple of bits, and bit j of the flat corner index is coordinate j.
+map from corner addresses {0,1}^k to vertices.  Inside the package a
+corner is named only by its flat index, whose bit j is coordinate j;
+bit tuples and bit strings appear only where corner keys are parsed.
 Faces arise by freezing coordinates, which pins the whole face lattice
 without any geometric embedding.
 """
@@ -199,18 +200,12 @@ def _addr_index(bits: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _index_bits(idx: int, k: int) -> tuple[int, ...]:
-    return tuple((idx >> j) & 1 for j in range(k))
+def _face_template(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every face of the k-cube as (free_coords, corner indices).
 
-
-@lru_cache(maxsize=None)
-def _face_template(k: int) -> tuple[tuple[tuple[int, ...], dict[int, int], tuple[int, ...]], ...]:
-    """Every face of the k-cube as (free_coords, fixed_bits, corner indices).
-
-    free_coords is a sorted tuple of coordinates left to vary; fixed_bits
-    maps each frozen coordinate to its pinned bit; the corner indices are
-    the flat indices of the face's corners.  Built and count-checked once
-    per k and shared by every k-cube, so callers must not mutate it.
+    free_coords is a sorted tuple of coordinates left to vary; the corner
+    indices are the flat indices of the face's corners.  Built and
+    count-checked once per k and shared by every k-cube.
     """
     coords = range(k)
     out = []
@@ -221,9 +216,8 @@ def _face_template(k: int) -> tuple[tuple[tuple[int, ...], dict[int, int], tuple
             for c in free:
                 span += [s | 1 << c for s in span]
             for mask in range(1 << len(frozen)):
-                fixed = {c: (mask >> i) & 1 for i, c in enumerate(frozen)}
-                base = sum(b << c for c, b in fixed.items())
-                out.append((free, fixed, tuple(base | s for s in span)))
+                base = sum(((mask >> i) & 1) << c for i, c in enumerate(frozen))
+                out.append((free, tuple(base | s for s in span)))
     _check_cube_poset_counts(out, k)
     return tuple(out)
 
@@ -246,19 +240,18 @@ class CubicalComplex:
 
     @cached_property
     def cube_face_lists(self) -> tuple[tuple, ...]:
-        """Per cube, (free_coords, fixed_bits, vertex frozenset) for every
-        face, read off the shared face template of its dimension."""
+        """Per cube, (free_coords, vertex frozenset) for every face, read
+        off the shared face template of its dimension."""
         template = _face_template(self.dim)
         return tuple(
-            tuple((free, fixed, frozenset([c[i] for i in idxs]))
-                  for free, fixed, idxs in template)
+            tuple((free, frozenset([c[i] for i in idxs])) for free, idxs in template)
             for c in self.cubes)
 
     @cached_property
     def faces(self) -> dict[frozenset, int]:
         out: dict[frozenset, int] = {}
         for flist in self.cube_face_lists:
-            for free, _fixed, verts in flist:
+            for free, verts in flist:
                 out[verts] = len(free)
         return out
 
@@ -336,7 +329,7 @@ def _check_semilattice(K: CubicalComplex) -> None:
     runs over every derived face of every cube so that two cells sharing
     a vertex set also agree on its internal face structure.
     """
-    facesets = [frozenset(verts for _, _, verts in flist) for flist in K.cube_face_lists]
+    facesets = [frozenset(verts for _, verts in flist) for flist in K.cube_face_lists]
     faces_at: dict[int, list[frozenset]] = {}
     for verts in set().union(*facesets):
         for v in verts:
@@ -361,7 +354,7 @@ def _check_cube_poset_counts(template, k: int) -> None:
     counts exactly as the template does.
     """
     by_dim: dict[int, set[frozenset]] = {}
-    for free, _, idxs in template:
+    for free, idxs in template:
         by_dim.setdefault(len(free), set()).add(frozenset(idxs))
     for j in range(k + 1):
         expect = comb(k, j) * (1 << (k - j))
@@ -383,17 +376,14 @@ def face_poset(K: SimplicialComplex | CubicalComplex) -> RankedPoset:
                 for v in fs:
                     covers.add((fs - {v}, fs))
     else:
-        for flist in K.cube_face_lists:
-            lookup = {(free, tuple(sorted(fixed.items()))): verts
-                      for free, fixed, verts in flist}
-            for free, fixed, verts in flist:
-                for c in free:
-                    sub_free = tuple(x for x in free if x != c)
-                    for b in (0, 1):
-                        sub_fixed = dict(fixed)
-                        sub_fixed[c] = b
-                        sub = lookup[(sub_free, tuple(sorted(sub_fixed.items())))]
-                        covers.add((sub, verts))
+        # a face's facets are the halves of its corners with bit c at 0 or 1
+        template = _face_template(K.dim)
+        for corners, flist in zip(K.cubes, K.cube_face_lists):
+            for (free, idxs), (_, verts) in zip(template, flist):
+                for bit in (1 << c for c in free):
+                    for half in (0, bit):
+                        covers.add((frozenset([corners[i] for i in idxs if i & bit == half]),
+                                    verts))
     return RankedPoset(elements=elements, rank=rank, covers=tuple(sorted(
         covers, key=lambda p: (rank[p[1]], sorted(p[1]), sorted(p[0])))))
 
@@ -439,7 +429,7 @@ def _facet_ridges(K: SimplicialComplex | CubicalComplex) -> list[list[frozenset]
         return [[frozenset(f) - {v} for v in f] for f in K.facets]
     out = []
     for flist in K.cube_face_lists:
-        out.append([verts for free, _, verts in flist if len(free) == K.dim - 1])
+        out.append([verts for free, verts in flist if len(free) == K.dim - 1])
     return out
 
 
@@ -517,7 +507,7 @@ def check_nondegenerate(f: VertexMap) -> NondegeneracyResult:
         image = [f(v) for v in corners]
         if len(set(image)) != len(image):
             return NondegeneracyResult(False, tuple(sorted(corners)))
-        for _, _, verts in flist:
+        for _, verts in flist:
             img = frozenset(f(v) for v in verts)
             if img not in dst.faces or dst.faces[img] != src.faces[verts]:
                 return NondegeneracyResult(False, tuple(sorted(verts)))

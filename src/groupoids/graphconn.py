@@ -21,7 +21,7 @@ from functools import cached_property
 from .complexes import DualMultigraph
 from .groupoid import Groupoid
 from .holonomy import NotConnected, holonomy
-from .homcx import Graph
+from .homcx import Graph, cycle_graph
 from .permgroup import GiantGroup, PermGroup
 
 
@@ -97,17 +97,10 @@ def cycle_connection(n: int) -> GraphConnection:
     """The unique connection on an n-cycle.
 
     Two-element stars leave no choice: the crossed edge is forced by
-    the first axiom and bijectivity pins the other.
+    the first axiom and bijectivity pins the other, so the rotation
+    connection is the only one.
     """
-    from .homcx import cycle_graph
-    graph = cycle_graph(n)
-    nabla = {}
-    for x, y in [(a, b) for a, b in graph.edges] + [(b, a) for a, b in graph.edges]:
-        sx, sy = star(graph, x), star(graph, y)
-        other_x = next(e for e in sx if e != (x, y))
-        other_y = next(e for e in sy if e != (y, x))
-        nabla[(x, y)] = {(x, y): (y, x), other_x: other_y}
-    return GraphConnection(graph, nabla)
+    return rotation_connection(cycle_graph(n))
 
 
 def rotation_connection(graph: Graph) -> GraphConnection:

@@ -24,8 +24,6 @@ from .complexes import (
     DualMultigraph,
     SimplicialComplex,
     facet_adjacency,
-    _addr_index,
-    _index_bits,
 )
 from .permgroup import Perm, SignedPerm
 
@@ -97,14 +95,14 @@ class Groupoid:
     Construction precomputes the flip table; afterwards everything is
     read-only.  ``corner_maps`` is set when objects are cubes (cubical
     complexes and the built-in tribar), enabling the signed-permutation
-    view of morphisms.
+    view of morphisms; ``corner_maps[c][i]`` is the vertex at flat corner
+    index i of cube c.
     """
 
     object_vertices: tuple[tuple[int, ...], ...]
     dual: DualMultigraph
     flips: dict[tuple[int, int, int], dict[int, int]]
     corner_maps: tuple[tuple[int, ...], ...] | None = None
-    cube_dim: int | None = None
 
     @property
     def object_count(self) -> int:
@@ -119,17 +117,11 @@ class Groupoid:
             bij = _flip_bijection(K, i, j, ridge)
             flips[(i, j, rid)] = bij
             flips[(j, i, rid)] = {v: u for u, v in bij.items()}
-        corner_maps = None
-        cube_dim = None
-        if isinstance(K, CubicalComplex):
-            corner_maps = K.cubes
-            cube_dim = K.dim
         return Groupoid(
             object_vertices=tuple(tuple(sorted(f)) for f in K.facets),
             dual=dual,
             flips=flips,
-            corner_maps=corner_maps,
-            cube_dim=cube_dim,
+            corner_maps=K.cubes if isinstance(K, CubicalComplex) else None,
         )
 
 
@@ -176,26 +168,23 @@ def corner_map_signed(source_corners: tuple[int, ...],
                       bijection: dict[int, int]) -> SignedPerm:
     """Extract the signed permutation behind a corner bijection.
 
-    The address map must have the affine form y[p[i]] = x[i] xor c[p[i]];
-    anything else is rejected.
+    The flat-index map must have the affine form y[p[i]] = x[i] xor c[p[i]];
+    anything else is rejected.  Unit corner 1 << i must land one bit away
+    from the image of corner 0, at bit p[i].
     """
     k = (len(source_corners) - 1).bit_length()
     target_index = {v: idx for idx, v in enumerate(target_corners)}
-    addr = [target_index[bijection[source_corners[idx]]] for idx in range(1 << k)]
-    origin = _index_bits(addr[0], k)
-    perm = [0] * k
-    signs = [1] * k
+    addr = [target_index[bijection[v]] for v in source_corners]
+    perm, signs = [], []
     for i in range(k):
-        moved = _index_bits(addr[1 << i], k)
-        diff = [j for j in range(k) if moved[j] != origin[j]]
-        if len(diff) != 1:
+        moved = addr[1 << i] ^ addr[0]
+        if moved.bit_count() != 1:
             raise ValueError("corner bijection is not induced by a cube symmetry")
-        perm[i] = diff[0]
-        signs[i] = -1 if origin[diff[0]] == 1 else 1
+        perm.append(moved.bit_length() - 1)
+        signs.append(-1 if addr[0] & moved else 1)
     sp = SignedPerm(Perm(tuple(perm)), tuple(signs))
-    for idx in range(1 << k):
-        if _addr_index(sp.apply_address(_index_bits(idx, k))) != addr[idx]:
-            raise ValueError("corner bijection is not induced by a cube symmetry")
+    if any(sp.apply_index(idx) != a for idx, a in enumerate(addr)):
+        raise ValueError("corner bijection is not induced by a cube symmetry")
     return sp
 
 
@@ -296,10 +285,7 @@ def tribar_groupoid() -> Groupoid:
     }
     flips: dict[tuple[int, int, int], dict[int, int]] = {}
     for (src, dst, rid), sp in step_for_edge.items():
-        bij = {}
-        for idx in range(1 << k):
-            image = sp.apply_address(_index_bits(idx, k))
-            bij[corners[src][idx]] = corners[dst][_addr_index(image)]
+        bij = {corners[src][idx]: corners[dst][sp.apply_index(idx)] for idx in range(1 << k)}
         flips[(src, dst, rid)] = bij
         flips[(dst, src, rid)] = {v: u for u, v in bij.items()}
     dual = DualMultigraph(node_count=3, edges=edges, ridges=((), (), ()))
@@ -308,5 +294,4 @@ def tribar_groupoid() -> Groupoid:
         dual=dual,
         flips=flips,
         corner_maps=corners,
-        cube_dim=k,
     )

@@ -155,7 +155,7 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
         base_corners = g.corner_maps[base]
         signed = tuple(corner_map_signed(base_corners, base_corners, b)
                        for b in bijections)
-        k = g.cube_dim
+        k = (len(base_corners) - 1).bit_length()
         outer = (1 << k) * math.factorial(k)
     return HolonomyResult(
         base=base,

@@ -73,7 +73,7 @@ def path_graph(n: int) -> Graph:
 def graph_by_name(name: str) -> Graph:
     """Parse \"k5\", \"c7\", or \"p4\" into the corresponding graph."""
     name = name.strip().lower()
-    kind, num = name[0], name[1:]
+    kind, num = name[:1], name[1:]
     if not num.isdigit():
         raise ValueError(f"cannot parse graph name {name!r}")
     n = int(num)

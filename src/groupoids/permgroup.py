@@ -528,12 +528,12 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return self.perm.is_identity() and all(s == 1 for s in self.signs)
 
-    def apply_address(self, bits: tuple[int, ...]) -> tuple[int, ...]:
-        """Act on a cube corner address in {0,1}^k."""
-        out = [0] * self.degree
-        for i, b in enumerate(bits):
-            out[self.perm(i)] = b if self.signs[i] == 1 else 1 - b
-        return tuple(out)
+    def apply_index(self, idx: int) -> int:
+        """Act on a cube corner's flat index, whose bit i is coordinate i."""
+        out = 0
+        for i, (j, s) in enumerate(zip(self.perm.images, self.signs)):
+            out |= ((idx >> i & 1) ^ (s < 0)) << j
+        return out
 
 
 def signed_parity(s: SignedPerm) -> int:

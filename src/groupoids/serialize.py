@@ -90,8 +90,12 @@ def load_complex(path: str | Path):
 
 def parse_state(obj) -> LabelledState:
     try:
-        return LabelledState.from_mapping(obj["hole"], obj["placement"])
-    except (KeyError, TypeError, ValueError) as e:
+        hole, placement = obj["hole"], obj["placement"]
+        for cell in (hole, *placement.values()):
+            if type(cell) is not int:   # bool is an int subclass
+                raise ValueError(f"cell {cell!r} is not an integer")
+        return LabelledState.from_mapping(hole, placement)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"invalid puzzle state: {e}") from e
 
 

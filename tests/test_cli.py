@@ -186,6 +186,48 @@ def test_non_integer_cubical_dim_is_input_error(tmp_path, capsys, dim, shown):
     assert f"cubical dim {shown} is not an integer" in captured.err
 
 
+def assert_one_line_input_error(capsys, code, message):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("state,bad", [
+    ({"hole": [1], "placement": {"1": 0, "2": 2, "3": 3}}, "[1]"),
+    ({"hole": 3.0, "placement": {"1": 0, "2": 1, "3": 2}}, "3.0"),
+    ({"hole": True, "placement": {"1": 0, "2": 2, "3": 3}}, "True"),
+    ({"hole": 3, "placement": {"1": 2.7, "2": 0, "3": 1}}, "2.7"),
+    ({"hole": 3, "placement": {"1": True, "2": 0, "3": 2}}, "True"),
+    ({"hole": 3, "placement": {"1": "0", "2": 1, "3": 2}}, "'0'"),
+], ids=["hole-list", "hole-float", "hole-true", "cell-float", "cell-true", "cell-str"])
+def test_non_integer_puzzle_cell_is_input_error(tmp_path, capsys, state, bad):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    for src, dst in ((path, corpus_file("fifteen-ordered-state.json")),
+                     (corpus_file("fifteen-ordered-state.json"), path)):
+        code = main(["puzzle", "reach", "--board", "2x2", "--from", str(src), "--to", str(dst)])
+        assert_one_line_input_error(
+            capsys, code, f"invalid puzzle state: cell {bad} is not an integer")
+
+
+def test_malformed_puzzle_state_is_input_error(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    for state in ([1], {"hole": 3}, {"hole": 3, "placement": [0, 1, 2]}):
+        path.write_text(json.dumps(state))
+        code = main(["puzzle", "reach", "--board", "2x2", "--from", str(path), "--to", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: invalid puzzle state: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["hom", "--g=", "--h", "k3"], ["hom", "--g", "k2", "--h="]],
+                         ids=["g", "h"])
+def test_empty_graph_name_is_input_error(capsys, argv):
+    assert_one_line_input_error(capsys, main(argv), "cannot parse graph name ''")
+
+
 def test_bundled_corpus_round_trips():
     for path in sorted(bundled_dir().glob("*.json")):
         if path.name.endswith("-state.json") or path.name.endswith("-connection.json"):

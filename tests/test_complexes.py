@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,10 +26,13 @@ from groupoids.corpus import (
     cube_skeleton,
     cycle_complex,
     grid_patch,
+    random_corpus,
     simplex_boundary,
     strip_complex,
 )
-from groupoids.serialize import ParseError, parse_complex
+from groupoids.serialize import ParseError, load_complex, parse_complex
+
+TEST_COMPLEXES = Path(__file__).resolve().parent / "complexes"
 
 
 def test_build_simplicial_examples():
@@ -76,6 +80,25 @@ def test_face_poset_cover_ranks():
     poset = face_poset(simplex_boundary(3))
     for lo, hi in poset.covers:
         assert poset.rank[hi] == poset.rank[lo] + 1
+
+
+def brute_force_covers(K):
+    """Oracle: a is covered by b when a is a proper subset of b one rank down."""
+    faces = K.faces
+    return {(a, b) for a in faces for b in faces if a < b and faces[b] == faces[a] + 1}
+
+
+COVER_CASES = ([cube_skeleton(d, k)[0] for d in range(2, 6) for k in range(1, d)]
+               + [load_complex(path) for path in sorted(TEST_COMPLEXES.glob("*.json"))]
+               + [item.complex for item in random_corpus(5, 60)])
+
+
+def test_cubical_face_poset_covers_match_brute_force():
+    for K in COVER_CASES:
+        poset = face_poset(K)
+        assert set(poset.elements) == set(K.faces)
+        assert len(set(poset.covers)) == len(poset.covers)
+        assert set(poset.covers) == brute_force_covers(K)
 
 
 def test_build_cubical_examples():
@@ -359,7 +382,8 @@ def test_face_template_matches_per_cube_faces(k):
     corners = tuple(random.Random(k).sample(range(1 << k), 1 << k))
     K = build_cubical([{tuple((i >> j) & 1 for j in range(k)): v
                         for i, v in enumerate(corners)}])
-    assert list(K.cube_face_lists[0]) == list(_old_cube_faces(corners, k))
+    assert list(K.cube_face_lists[0]) == [(free, verts) for free, _, verts
+                                          in _old_cube_faces(corners, k)]
 
 
 @pytest.mark.parametrize("cubes", [

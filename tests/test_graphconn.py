@@ -34,6 +34,26 @@ def test_cycle_connection_always_validates(n):
     assert validate_connection(cycle_connection(n))
 
 
+def forced_cycle_connection(n):
+    """Reference: on a cycle the crossed edge goes to its reversal and the
+    other star element to the other one."""
+    graph = cycle_graph(n)
+    nabla = {}
+    for x, y in [(a, b) for a, b in graph.edges] + [(b, a) for a, b in graph.edges]:
+        other_x = next(e for e in star(graph, x) if e != (x, y))
+        other_y = next(e for e in star(graph, y) if e != (y, x))
+        nabla[(x, y)] = {(x, y): (y, x), other_x: other_y}
+    return GraphConnection(graph, nabla)
+
+
+def test_cycle_connection_is_the_forced_table():
+    for n in range(3, 40):
+        want = forced_cycle_connection(n)
+        assert cycle_connection(n).nabla == want.nabla
+        assert (json.dumps(connection_to_dict(cycle_connection(n)))
+                == json.dumps(connection_to_dict(want)))
+
+
 def test_axiom_violation_witnessed():
     c = cycle_connection(4)
     nabla = {k: dict(v) for k, v in c.nabla.items()}

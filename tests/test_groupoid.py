@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import permutations
 
 import pytest
@@ -41,8 +43,8 @@ def brute_force_square_flips(K, i, j, ridge):
     """Oracle: all vertex bijections of two squares that fix the ridge
     pointwise and carry faces onto faces."""
     src, dst = K.cubes[i], K.cubes[j]
-    faces_i = {verts for _, _, verts in K.cube_face_lists[i]}
-    faces_j = {verts for _, _, verts in K.cube_face_lists[j]}
+    faces_i = {verts for _, verts in K.cube_face_lists[i]}
+    faces_j = {verts for _, verts in K.cube_face_lists[j]}
     found = []
     rest_src = [v for v in src if v not in ridge]
     rest_dst = [v for v in dst if v not in ridge]
@@ -67,6 +69,52 @@ def test_flip_two_squares_matches_brute_force():
     # the flat crossing reverses the crossing direction
     sp = corner_map_signed(K.cubes[0], K.cubes[1], m.bijection)
     assert signed_parity(sp) == 1
+
+
+def cube_faces(k):
+    """Every face of the k-cube as a set of flat corner indices."""
+    n = 1 << k
+    return {frozenset(i for i in range(n) if i & ~free == base)
+            for free in range(n) for base in range(n) if not base & free}
+
+
+def cube_symmetries(k):
+    """The 2^k k! maps i -> (i with bit j moved to bit p[j]) xor c."""
+    return [tuple(c ^ sum(((i >> j) & 1) << p[j] for j in range(k)) for i in range(1 << k))
+            for p in permutations(range(k)) for c in range(1 << k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_corner_map_signed_accepts_exactly_the_face_preserving_bijections(k):
+    """Every bijection for k <= 2; for k = 3 the 48 symmetries and 2,000
+    seeded others.  A bijection is accepted exactly when it carries faces
+    onto faces, and the accepted ones give distinct signed permutations."""
+    n = 1 << k
+    rng = random.Random(k)
+    if k <= 2:
+        images = list(permutations(range(n)))
+    else:
+        images = cube_symmetries(k)
+        others = set()
+        while len(others) < 2000:
+            image = tuple(rng.sample(range(n), n))
+            if image not in images:
+                others.add(image)
+        images += sorted(others)
+    faces = cube_faces(k)
+    source = tuple(rng.sample(range(100, 100 + n), n))
+    target = tuple(rng.sample(range(200, 200 + n), n))
+    accepted = []
+    for image in images:
+        bijection = {source[i]: target[image[i]] for i in range(n)}
+        if {frozenset(image[i] for i in f) for f in faces} == faces:
+            sp = corner_map_signed(source, target, bijection)
+            assert [sp.apply_index(i) for i in range(n)] == list(image)
+            accepted.append(sp)
+        else:
+            with pytest.raises(ValueError):
+                corner_map_signed(source, target, bijection)
+    assert len(accepted) == len(set(accepted)) == n * math.factorial(k)
 
 
 def test_flip_around_cube_corner_is_even():

@@ -14,7 +14,6 @@ import pytest
 
 from groupoids.complexes import (
     _addr_index,
-    _index_bits,
     bfs,
     build_simplicial,
     tree_path,
@@ -171,11 +170,15 @@ def test_nacl_matches_the_replaced_bfs():
 
 # --- the cubical flip against the face scan it replaced ---
 
+def _index_bits(idx, k):
+    return tuple((idx >> j) & 1 for j in range(k))
+
+
 def reference_frozen_coordinate(K, cube, ridge):
-    for free, fixed, verts in K.cube_face_lists[cube]:
+    for free, verts in K.cube_face_lists[cube]:
         if len(free) == K.dim - 1 and verts == ridge:
-            (coord, bit), = fixed.items()
-            return coord, bit
+            coord, = set(range(K.dim)) - set(free)
+            return coord, (K.corner_index[cube][min(verts)] >> coord) & 1
     raise NotAdjacent(f"ridge {sorted(ridge)} is not a facet of cube {cube}")
 
 
