@@ -5,9 +5,12 @@ Each case is one ``groupoids --format json`` call: ``holonomy`` at
 and 1 on every bundled corpus file, ``connection`` at ``--base`` 0 and 1
 on the seeded random connections in ``tests/connections/``,
 ``holonomy`` at ``--base`` 0 and 1 and ``invariants`` on the scrambled
-cubical complexes in ``tests/complexes/``, ``puzzle
-holonomy`` on a few grid boards at holes 0, 1 and 3, and three bases out
-of range.  A case records the argument list, the exit code, stdout, and
+cubical complexes in ``tests/complexes/``, ``puzzle holonomy`` on a few
+grid boards at holes 0, 1 and 3, three bases out of range, and ``hom``:
+the edge K2 into K1 to K9 with every report, a few other graph pairs
+with ``fvector,euler``, and three bad inputs (a free action over a
+non-edge, an unknown report item, and a complex over the enumeration
+budget).  A case records the argument list, the exit code, stdout, and
 the ``error:`` lines of stderr (the ``elapsed`` line is dropped).  Corpus
 files are written as ``corpus/<name>``, test inputs by their path from
 the repository root.
@@ -38,6 +41,8 @@ COMPLEXES = ("tests/complexes/skel4-3-scrambled.json",
              "tests/complexes/cubes2x2x2-scrambled.json")
 BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5", "5x5", "6x6", "3x7")
 HOLES = (0, 1, 3)
+# (G, H) pairs for the f-vector and Euler characteristic reports
+HOM_PAIRS = (("c5", "k3"), ("c5", "k4"), ("p3", "k4"), ("k3", "k4"), ("c4", "c5"))
 
 
 def cases() -> dict[str, list[list[str]]]:
@@ -59,6 +64,12 @@ def cases() -> dict[str, list[list[str]]]:
     out["puzzle"].append(["puzzle", "holonomy", "--board", "2x2", "--base", "4"])
     out["holonomy"].append(["holonomy", "corpus/c3.json", "--base", "5"])
     out["connection"].append(["connection", "corpus/k4-rotation-connection.json", "--base", "9"])
+    out["hom"] = [["hom", "--g", "k2", "--h", f"k{n}", "--report", "fvector,euler,free-action"]
+                  for n in range(1, 10)]
+    out["hom"] += [["hom", "--g", g, "--h", h, "--report", "fvector,euler"] for g, h in HOM_PAIRS]
+    out["hom"] += [["hom", "--g", "c5", "--h", "k3", "--report", "free-action"],
+                   ["hom", "--g", "k2", "--h", "k3", "--report", "bogus"],
+                   ["hom", "--g", "k2", "--h", "k30"]]
     return out
 
 
