@@ -22,12 +22,12 @@ from .groupoid import Groupoid
 from .holonomy import NoSuchObject, NotConnected, holonomy, holonomy_group
 from .homcx import (
     TooLarge,
-    complete_graph,
+    check_budget,
     euler_characteristic,
     f_vector,
-    graph_by_name,
     hom_complex,
     induced_swap_action,
+    parse_graph_name,
 )
 from .invariants import compare_invariants
 from .graphconn import InvalidConnection, InvalidTable, NotRegular, connection_holonomy
@@ -140,9 +140,9 @@ def cmd_puzzle(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    G = graph_by_name(args.g)
-    H = graph_by_name(args.h)
-    cells = hom_complex(G, H)
+    (g_family, g), (h_family, h) = parse_graph_name(args.g), parse_graph_name(args.h)
+    check_budget(g, h)    # before any edge list is built
+    cells = hom_complex(g_family(g), h_family(h))
     wanted = args.report.split(",") if args.report else ["fvector", "euler", "free-action"]
     results: dict = {"g": args.g, "h": args.h, "cells": len(cells)}
     for item in wanted:
@@ -151,7 +151,7 @@ def cmd_hom(args) -> int:
         elif item == "euler":
             results["euler"] = euler_characteristic(cells)
         elif item == "free-action":
-            if G.vertex_count != 2:
+            if g != 2:
                 raise ParseError("free-action report needs --g k2")
             results["free_action"] = induced_swap_action(cells).fixed_point_free
         else:

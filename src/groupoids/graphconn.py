@@ -87,7 +87,7 @@ def validate_connection(c: GraphConnection) -> ConnectionReport:
                 False, f"edge {(x, y)} must cross to {(y, x)}")
         back = c.nabla[(y, x)]
         for src, dst in table.items():
-            if back[dst] != src:
+            if back.get(dst) != src:
                 return ConnectionReport(
                     False, f"tables at {(x, y)} and {(y, x)} are not inverse")
     return ConnectionReport(True)

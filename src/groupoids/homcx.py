@@ -2,19 +2,24 @@
 
 A cell of the complex between graphs G and H assigns each vertex of G a
 nonempty subset of H's vertices so that every choice across a G-edge is
-an H-edge; its dimension is the total slack sum(|eta(i)| - 1).  These
-complexes between an edge and a complete graph are spheres, and the
-flip of the edge induces a free involution on them; both facts are
-checked combinatorially here (cell counts, Euler characteristics, fixed
-points), with no topological realization built.
+an H-edge; its dimension is the total slack sum(|eta(i)| - 1).  A cell
+stores these sets as int masks (bit v for H-vertex v), so dimensions are
+bit counts and faces mask inclusions.  The complexes between an edge and
+a complete graph are spheres, and the edge flip induces a free involution
+on them; both are checked combinatorially (cell counts, Euler
+characteristics, fixed points), with no topological realization built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial, reduce
 from itertools import combinations
-from typing import Iterable, Sequence
+from operator import and_
+from typing import Callable, Iterable, Sequence
+
+HOM_BUDGET = 10 ** 7
 
 
 class TooLarge(RuntimeError):
@@ -51,6 +56,10 @@ class Graph:
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
 
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << w for w in s) for s in self.adjacency)
+
     def has_edge(self, a: int, b: int) -> bool:
         # range check first: adjacency[-1] would wrap to the last vertex
         return 0 <= a < self.vertex_count and b in self.adjacency[a]
@@ -70,124 +79,121 @@ def path_graph(n: int) -> Graph:
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
-def graph_by_name(name: str) -> Graph:
-    """Parse \"k5\", \"c7\", or \"p4\" into the corresponding graph."""
+_FAMILIES = {"k": complete_graph, "c": cycle_graph, "p": path_graph}
+
+
+def parse_graph_name(name: str) -> tuple[Callable[[int], Graph], int]:
+    """Split \"k5\", \"c7\", or \"p4\" into its graph family and vertex count."""
     name = name.strip().lower()
     kind, num = name[:1], name[1:]
     if not num.isdigit():
         raise ValueError(f"cannot parse graph name {name!r}")
-    n = int(num)
-    if kind == "k":
-        return complete_graph(n)
-    if kind == "c":
-        return cycle_graph(n)
-    if kind == "p":
-        return path_graph(n)
-    raise ValueError(f"unknown graph family {kind!r}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown graph family {kind!r}")
+    return _FAMILIES[kind], int(num)
 
 
-@dataclass(frozen=True)
+def graph_by_name(name: str) -> Graph:
+    """Parse \"k5\", \"c7\", or \"p4\" into the corresponding graph."""
+    family, n = parse_graph_name(name)
+    return family(n)
+
+
+def check_budget(g: int, h: int, budget: int = HOM_BUDGET) -> None:
+    """Refuse, from the vertex counts alone, the complex between graphs
+    on g and h vertices when its (2^h - 1)^g candidate supports, or the
+    vertex pairs of either graph, exceed the budget."""
+    cap = budget.bit_length()
+    base = (1 << min(h, cap + 1)) - 1     # above the budget once h > cap
+    if (base > 1 and g > cap) or base ** g > budget:
+        raise TooLarge("candidate support count exceeds the enumeration budget")
+    if max(g, h) ** 2 > budget:
+        raise TooLarge(f"a graph on {max(g, h)} vertices exceeds the enumeration budget")
+
+
+def _common(adj: Sequence[int], full: int, m: int) -> int:
+    """The vertices adjacent to every vertex of mask m."""
+    return reduce(and_, (a for x, a in enumerate(adj) if m >> x & 1), full)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class HomCell:
-    """One cell: a nonempty H-vertex set per G-vertex."""
+    """One cell: a nonempty H-vertex set per G-vertex, stored as their
+    int masks (bit v is H-vertex v); ``HomCell(eta)`` takes the sets."""
 
-    eta: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+    def __init__(self, eta: Iterable[Iterable[int]]):
+        object.__setattr__(self, "masks", tuple(sum(1 << v for v in frozenset(s)) for s in eta))
+
+    @classmethod
+    def _of(cls, masks: tuple[int, ...]) -> HomCell:
+        cell = object.__new__(cls)
+        object.__setattr__(cell, "masks", masks)
+        return cell
+
+    @property
+    def eta(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(v for v in range(m.bit_length()) if m >> v & 1)
+                     for m in self.masks)
 
     @property
     def dim(self) -> int:
-        return sum(len(s) - 1 for s in self.eta)
-
-    def support_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << v for v in s) for s in self.eta)
+        return sum(map(int.bit_count, self.masks)) - len(self.masks)
 
 
 def _validate_cell(G: Graph, H: Graph, cell: HomCell) -> bool:
-    if len(cell.eta) != G.vertex_count or any(not s for s in cell.eta):
+    masks, full = cell.masks, (1 << H.vertex_count) - 1
+    if len(masks) != G.vertex_count or not all(0 < m <= full for m in masks):
         return False
-    for a, b in G.edges:
-        for x in cell.eta[a]:
-            for y in cell.eta[b]:
-                if not H.has_edge(x, y):
-                    return False
-    return True
+    return all(masks[b] & ~_common(H.adjacency_masks, full, masks[a]) == 0 for a, b in G.edges)
 
 
-def hom_complex(G: Graph, H: Graph, budget: int = 10 ** 7) -> tuple[HomCell, ...]:
+def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, ...]:
     """Every cell of the complex between G and H, graded by dimension.
 
-    Enumeration backtracks vertex by vertex over subsets of the common
-    neighborhood of the already-assigned neighbors; cells come out in
-    lexicographic support-mask order, so ids are reproducible.
+    Enumeration backtracks vertex by vertex over the nonempty submasks,
+    in increasing order, of the common neighborhood of the already
+    assigned neighbors; cells come out in lexicographic mask order, so
+    ids are reproducible.
     """
-    h = H.vertex_count
-    if ((1 << h) - 1) ** G.vertex_count > budget:
-        raise TooLarge("candidate support count exceeds the enumeration budget")
-    full = (1 << h) - 1
-    adj_mask = [sum(1 << w for w in H.adjacency[v]) for v in range(h)]
-    neighbors_before = [
-        [u for u in range(i) if G.has_edge(u, i)]
-        for i in range(G.vertex_count)
-    ]
+    n, full = G.vertex_count, (1 << H.vertex_count) - 1
+    check_budget(n, H.vertex_count, budget)
+    before = [[u for u in G.adjacency[i] if u < i] for i in range(n)]
+    common = cache(partial(_common, H.adjacency_masks, full))    # filled on demand
     cells: list[HomCell] = []
-    assignment: list[int] = []
 
-    def submasks(mask: int):
-        # nonempty submasks in increasing order
-        out = []
-        sub = mask
+    def rec(prefix: tuple[int, ...]):
+        i = len(prefix)
+        allowed = full
+        for u in before[i]:
+            allowed &= common(prefix[u])
+        sub = -allowed & allowed    # the least nonempty submask
         while sub:
-            out.append(sub)
-            sub = (sub - 1) & mask
-        return sorted(out)
+            if i + 1 == n:
+                cells.append(HomCell._of(prefix + (sub,)))
+            else:
+                rec(prefix + (sub,))
+            sub = (sub - allowed) & allowed
 
-    def allowed_mask(i: int) -> int:
-        mask = full
-        for u in neighbors_before[i]:
-            common = full
-            s = assignment[u]
-            j = 0
-            while s:
-                if s & 1:
-                    common &= adj_mask[j]
-                s >>= 1
-                j += 1
-            mask &= common
-        return mask
-
-    def rec(i: int):
-        if i == G.vertex_count:
-            eta = tuple(frozenset(v for v in range(h) if m >> v & 1)
-                        for m in assignment)
-            cells.append(HomCell(eta))
-            return
-        for sub in submasks(allowed_mask(i)):
-            assignment.append(sub)
-            rec(i + 1)
-            assignment.pop()
-
-    if G.vertex_count:
-        rec(0)
-    cells.sort(key=lambda c: c.support_masks())
+    if n:
+        rec(())
     return tuple(cells)
 
 
 def f_vector(cells: Sequence[HomCell]) -> tuple[int, ...]:
     """Cell counts by dimension."""
-    if not cells:
-        return ()
-    top = max(c.dim for c in cells)
-    counts = [0] * (top + 1)
-    for c in cells:
-        counts[c.dim] += 1
-    return tuple(counts)
+    counts = Counter(c.dim for c in cells)
+    return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
 
 
 def euler_characteristic(cells: Sequence[HomCell]) -> int:
     """Alternating cell-count sum; the empty complex counts 0."""
-    return sum((-1) ** c.dim for c in cells)
+    return sum((-1) ** d * count for d, count in enumerate(f_vector(cells)))
 
 
 def is_face(sub: HomCell, sup: HomCell) -> bool:
-    return all(a <= b for a, b in zip(sub.eta, sup.eta))
+    return all(a & ~b == 0 for a, b in zip(sub.masks, sup.masks))
 
 
 @dataclass(frozen=True)
@@ -202,17 +208,12 @@ def induced_swap_action(cells: Sequence[HomCell]) -> SwapActionResult:
     Dimension- and face-relation-preserving by construction; the
     interesting output is whether any cell is fixed.
     """
-    if any(len(c.eta) != 2 for c in cells):
+    pairs = [c.masks for c in cells]
+    if any(len(m) != 2 for m in pairs):
         raise ValueError("swap action needs cells over a single edge")
-    index = {c: i for i, c in enumerate(cells)}
-    mapping = []
-    fixed = False
-    for c in cells:
-        image = HomCell((c.eta[1], c.eta[0]))
-        mapping.append(index[image])
-        if image == c:
-            fixed = True
-    return SwapActionResult(tuple(mapping), not fixed)
+    index = {m: i for i, m in enumerate(pairs)}
+    mapping = tuple(index[m1, m0] for m0, m1 in pairs)
+    return SwapActionResult(mapping, all(m0 != m1 for m0, m1 in pairs))
 
 
 def restriction_map(G: Graph, cell: HomCell, e: tuple[int, int]) -> HomCell:
@@ -224,7 +225,7 @@ def restriction_map(G: Graph, cell: HomCell, e: tuple[int, int]) -> HomCell:
     u, v = e
     if not G.has_edge(u, v):
         raise EdgeNotInGraph(f"{e} is not an edge")
-    return HomCell((cell.eta[u], cell.eta[v]))
+    return HomCell._of((cell.masks[u], cell.masks[v]))
 
 
 def precompose_cells(cells: Sequence[HomCell], h: dict[int, int],
@@ -234,13 +235,11 @@ def precompose_cells(cells: Sequence[HomCell], h: dict[int, int],
     Each image cell is revalidated against G_src; a non-homomorphism h
     surfaces as a validation failure.
     """
-    out = []
-    for c in cells:
-        image = HomCell(tuple(c.eta[h[i]] for i in range(G_src.vertex_count)))
-        if not _validate_cell(G_src, H, image):
-            raise ValueError("precomposition produced an invalid cell")
-        out.append(image)
-    return tuple(out)
+    images = tuple(HomCell._of(tuple(c.masks[h[i]] for i in range(G_src.vertex_count)))
+                   for c in cells)
+    if not all(_validate_cell(G_src, H, image) for image in images):
+        raise ValueError("precomposition produced an invalid cell")
+    return images
 
 
 @dataclass(frozen=True)

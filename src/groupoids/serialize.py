@@ -88,12 +88,17 @@ def load_complex(path: str | Path):
     return parse_complex(load_json(path))
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:   # bool is an int subclass
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def parse_state(obj) -> LabelledState:
     try:
         hole, placement = obj["hole"], obj["placement"]
         for cell in (hole, *placement.values()):
-            if type(cell) is not int:   # bool is an int subclass
-                raise ValueError(f"cell {cell!r} is not an integer")
+            _integer(cell, "cell")
         return LabelledState.from_mapping(hole, placement)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"invalid puzzle state: {e}") from e
@@ -104,18 +109,25 @@ def state_to_dict(s: LabelledState) -> dict:
 
 
 def _oriented(text: str) -> tuple[int, int]:
+    if not isinstance(text, str):
+        raise ValueError(f"oriented edge {text!r} is not a string 'x,y'")
     a, b = text.split(",")
     return int(a), int(b)
 
 
 def parse_connection(obj) -> GraphConnection:
     try:
-        edges = [tuple(e) for e in obj["edges"]]
-        n = max(max(e) for e in edges) + 1
+        edges = [tuple(_integer(v, "vertex") for v in e) for e in obj["edges"]]
+        n = len({v for e in edges for v in e})
+        if any(not 0 <= v < n for e in edges for v in e):
+            raise ValueError(f"vertex ids are not 0..{n - 1}")
         graph = Graph(n, tuple(edges))
+        tables = obj["nabla"]
+        if not isinstance(tables, dict) or not all(isinstance(t, dict) for t in tables.values()):
+            raise ValueError("nabla must map each oriented edge to an object")
         nabla = {
             _oriented(edge): {_oriented(k): _oriented(v) for k, v in table.items()}
-            for edge, table in obj["nabla"].items()
+            for edge, table in tables.items()
         }
         return GraphConnection(graph, nabla)
     except (KeyError, TypeError, ValueError) as e:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -245,3 +246,32 @@ def test_corpus_dir_override(tmp_path, monkeypatch, capsys):
     code, out = run(capsys, "corpus", "--seed", "1", "--count", "5")
     assert code == 0
     assert "round trip 1/1" in out
+
+
+@pytest.mark.parametrize("g,h,message", [
+    ("k2", "k2000", "candidate support count exceeds the enumeration budget"),
+    ("k2", "k99999999999999999999", "candidate support count exceeds the enumeration budget"),
+    # one candidate support, but building the graph alone would exhaust memory
+    ("k99999999999999999999", "k1", "a graph on 99999999999999999999 vertices exceeds the "
+                                    "enumeration budget"),
+    ("p0", "k5000", "a graph on 5000 vertices exceeds the enumeration budget"),
+])
+def test_oversized_graph_fails_fast(capsys, g, h, message):
+    started = time.monotonic()
+    code = main(["hom", "--g", g, "--h", h])
+    assert time.monotonic() - started < 0.5
+    assert_one_line_input_error(capsys, code, message)
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"edges": [[0, 1.5]], "nabla": {}}, "vertex 1.5 is not an integer"),
+    ({"edges": [[0, 1]], "nabla": {"0,1": []}}, "nabla must map each oriented edge to an object"),
+    ({"edges": [[0, True], [1, 2]], "nabla": {}}, "vertex True is not an integer"),
+    ({"edges": [[0, 1]], "nabla": {"0,1": {"0,1": 5}}}, "oriented edge 5 is not a string 'x,y'"),
+    ({"edges": [[0, 5]], "nabla": {}}, "vertex ids are not 0..1"),
+], ids=["float-vertex", "list-table", "true-vertex", "int-target", "sparse-ids"])
+def test_malformed_connection_is_input_error(tmp_path, capsys, obj, message):
+    path = tmp_path / "connection.json"
+    path.write_text(json.dumps(obj))
+    assert_one_line_input_error(capsys, main(["connection", str(path)]),
+                                f"invalid connection: {message}")

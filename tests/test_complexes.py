@@ -1,10 +1,14 @@
+import contextlib
+import io
+import json
 import random
+import tempfile
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from groupoids.complexes import (
     ComplexError,
@@ -30,7 +34,16 @@ from groupoids.corpus import (
     simplex_boundary,
     strip_complex,
 )
-from groupoids.serialize import ParseError, load_complex, parse_complex
+from groupoids.cli import main
+from groupoids.graphconn import rotation_connection
+from groupoids.homcx import complete_graph, cycle_graph
+from groupoids.serialize import (
+    ParseError,
+    connection_to_dict,
+    load_complex,
+    parse_complex,
+    parse_connection,
+)
 
 TEST_COMPLEXES = Path(__file__).resolve().parent / "complexes"
 
@@ -429,3 +442,65 @@ def test_parse_complex_raises_only_input_errors(obj):
         parse_complex(obj)
     except (ParseError, ComplexError):
         pass
+
+
+_oriented = (st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda e: f"{e[0]},{e[1]}")
+             | st.text("01,a", max_size=4))
+_valid_connections = [connection_to_dict(rotation_connection(graph))
+                      for graph in (cycle_graph(3), cycle_graph(5), complete_graph(4))]
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
+
+
+@st.composite
+def _mutated_connections(draw):
+    """A valid connection file with one entry replaced by arbitrary JSON."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(_valid_connections))))
+    *path, last = draw(st.sampled_from(list(_json_paths(obj))[1:]))
+    parent = obj
+    for key in path:
+        parent = parent[key]
+    parent[last] = draw(_json)
+    return obj
+
+
+_connections = st.one_of(
+    st.fixed_dictionaries({
+        "edges": st.lists(st.lists(_vertex, max_size=3), max_size=6) | _json,
+        "nabla": st.dictionaries(_oriented, st.dictionaries(_oriented, _oriented | _json_scalars,
+                                                            max_size=4) | _json, max_size=6)
+        | _json}),
+    st.sampled_from(_valid_connections),
+    _mutated_connections(),
+    _json,
+)
+
+
+@settings(max_examples=300)
+@given(_connections)
+def test_parse_connection_raises_only_input_errors(obj):
+    try:
+        parse_connection(obj)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300)
+@given(_connections, st.integers(-1, 4))
+def test_connection_command_exits_0_or_2_without_traceback(obj, base):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/connection.json"
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["connection", path, "--base", str(base)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
