@@ -21,6 +21,7 @@ from .games import BoardMismatch, DegenerateBoard, grid_puzzle, puzzle_holonomy,
 from .groupoid import Groupoid
 from .holonomy import NoSuchObject, NotConnected, holonomy, holonomy_group
 from .homcx import (
+    HOM_BUDGET,
     TooLarge,
     check_budget,
     euler_characteristic,
@@ -141,7 +142,9 @@ def cmd_puzzle(args) -> int:
 
 def cmd_hom(args) -> int:
     (g_family, g), (h_family, h) = parse_graph_name(args.g), parse_graph_name(args.h)
-    check_budget(g, h)    # before any edge list is built
+    check_budget(g, h)    # before any edge list is built, which takes
+    if max(g, h) ** 2 > HOM_BUDGET:    # time and memory quadratic in n
+        raise TooLarge(f"a graph on {max(g, h)} vertices exceeds the enumeration budget")
     cells = hom_complex(g_family(g), h_family(h))
     wanted = args.report.split(",") if args.report else ["fvector", "euler", "free-action"]
     results: dict = {"g": args.g, "h": args.h, "cells": len(cells)}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
 from typing import Callable, Iterable, Sequence
@@ -101,14 +101,12 @@ def graph_by_name(name: str) -> Graph:
 
 def check_budget(g: int, h: int, budget: int = HOM_BUDGET) -> None:
     """Refuse, from the vertex counts alone, the complex between graphs
-    on g and h vertices when its (2^h - 1)^g candidate supports, or the
-    vertex pairs of either graph, exceed the budget."""
+    on g and h vertices when its (2^h - 1)^g candidate supports exceed
+    the budget."""
     cap = budget.bit_length()
     base = (1 << min(h, cap + 1)) - 1     # above the budget once h > cap
     if (base > 1 and g > cap) or base ** g > budget:
         raise TooLarge("candidate support count exceeds the enumeration budget")
-    if max(g, h) ** 2 > budget:
-        raise TooLarge(f"a graph on {max(g, h)} vertices exceeds the enumeration budget")
 
 
 def _common(adj: Sequence[int], full: int, m: int) -> int:
@@ -160,14 +158,14 @@ def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, 
     n, full = G.vertex_count, (1 << H.vertex_count) - 1
     check_budget(n, H.vertex_count, budget)
     before = [[u for u in G.adjacency[i] if u < i] for i in range(n)]
-    common = cache(partial(_common, H.adjacency_masks, full))    # filled on demand
+    adj = H.adjacency_masks
     cells: list[HomCell] = []
 
     def rec(prefix: tuple[int, ...]):
         i = len(prefix)
         allowed = full
         for u in before[i]:
-            allowed &= common(prefix[u])
+            allowed &= _common(adj, full, prefix[u])
         sub = -allowed & allowed    # the least nonempty submask
         while sub:
             if i + 1 == n:

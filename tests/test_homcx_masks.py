@@ -222,9 +222,15 @@ def test_check_budget_is_the_candidate_count_rule(budget):
     # the closed form the check avoids computing for large vertex counts
     for g in range(30):
         for h in range(40):
-            over = ((1 << h) - 1) ** g > budget or max(g, h) ** 2 > budget
+            over = ((1 << h) - 1) ** g > budget
             try:
                 check_budget(g, h, budget)
                 assert not over, (g, h)
             except TooLarge:
                 assert over, (g, h)
+
+
+def test_large_graphs_within_the_candidate_budget_enumerate():
+    # only the CLI refuses graphs too large to build; built ones are enumerated
+    assert hom_complex(path_graph(4000), complete_graph(1)) == ()
+    assert hom_complex(Graph(0, ()), Graph(4000, ())) == ()
