@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .complexes import DualMultigraph, bfs, tree_path
-from .groupoid import Groupoid
+from .groupoid import Groupoid, _exchange
 from .holonomy import holonomy
 from .permgroup import GiantGroup, Perm, PermGroup
 
@@ -119,6 +119,8 @@ class LabelledState:
             _shared_pair((str(k), int(v))) for k, v in placement.items()))
 
     def validate(self, board: Puzzle) -> None:
+        if not 0 <= self.hole < board.cell_count:
+            raise BoardMismatch(f"no cell {self.hole}")
         occupied = [c for _, c in self.placement]
         if len(set(occupied)) != len(occupied):
             raise BoardMismatch("two pieces share a cell")
@@ -163,12 +165,14 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
     edge ``rid`` is board edge ``rid``, and the flip u -> v moves the
     hole from u to v: it sends v to u and fixes every other cell.
     """
-    cells = tuple(range(board.cell_count))
+    n = board.cell_count
+    cells = tuple(range(n))
     others = tuple(cells[:u] + cells[u + 1:] for u in cells)
-    flips: dict[tuple[int, int, int], dict[int, int]] = {}
+    flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for rid, (a, b) in enumerate(board.edges):
-        for u, v in ((a, b), (b, a)):
-            flips[(u, v, rid)] = dict(zip(others[u], others[u])) | {v: u}
+        # cell b sits at slot b - 1 of object a (a < b), cell a at slot a of b
+        flips[(a, b, rid)] = _exchange(n - 1, b - 1, a)
+        flips[(b, a, rid)] = _exchange(n - 1, a, b - 1)
     return Groupoid(
         object_vertices=others,
         dual=DualMultigraph(

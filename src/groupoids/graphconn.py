@@ -127,14 +127,20 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     edge ``rid`` is ``graph.edges[rid]``, and the flips are the tables.
     """
     graph = c.graph
+    stars = tuple(star(graph, x) for x in range(graph.vertex_count))
+    slot = {e: s for edges in stars for s, e in enumerate(edges)}  # (x, w) -> its slot in star x
+    flips = {}
+    for rid, (a, b) in enumerate(graph.edges):
+        for x, y in ((a, b), (b, a)):
+            table = c.nabla[(x, y)]
+            flips[(x, y, rid)] = tuple([slot[table[e]] for e in stars[x]])
     return Groupoid(
-        object_vertices=tuple(star(graph, x) for x in range(graph.vertex_count)),
+        object_vertices=stars,
         dual=DualMultigraph(
             node_count=graph.vertex_count,
             edges=tuple((a, b, rid) for rid, (a, b) in enumerate(graph.edges)),
             ridges=graph.edges),
-        flips={(x, y, rid): c.nabla[(x, y)]
-               for rid, (a, b) in enumerate(graph.edges) for x, y in ((a, b), (b, a))},
+        flips=flips,
     )
 
 

@@ -17,7 +17,7 @@ reading order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .complexes import (
     CubicalComplex,
@@ -25,7 +25,7 @@ from .complexes import (
     SimplicialComplex,
     facet_adjacency,
 )
-from .permgroup import Perm, SignedPerm
+from .permgroup import Perm, SignedPerm, _inv, _mul
 
 
 class NotAdjacent(ValueError):
@@ -92,100 +92,137 @@ class Pattern:
 class Groupoid:
     """Objects plus the elementary-morphism store and dual multigraph.
 
-    Construction precomputes the flip table; afterwards everything is
-    read-only.  ``corner_maps`` is set when objects are cubes (cubical
-    complexes and the built-in tribar), enabling the signed-permutation
-    view of morphisms; ``corner_maps[c][i]`` is the vertex at flat corner
-    index i of cube c.
+    Slot s of object u is its vertex ``object_vertices[u][s]``.  The flip
+    u -> v over ridge ``rid`` is stored in ``flips[(u, v, rid)]`` as an
+    image tuple: slot s of u goes to slot ``flip[s]`` of v, so transports
+    compose with ``permgroup._mul``.  ``vertex_map`` gives one flip as a
+    map of vertices.  Construction precomputes the flip table;
+    afterwards everything is read-only.  ``corner_maps`` is set when
+    objects are cubes (cubical complexes and the built-in tribar),
+    enabling the signed-permutation view of morphisms;
+    ``corner_maps[c][i]`` is the vertex at flat corner index i of cube c.
     """
 
-    object_vertices: tuple[tuple[int, ...], ...]
+    object_vertices: tuple[tuple, ...]
     dual: DualMultigraph
-    flips: dict[tuple[int, int, int], dict[int, int]]
+    flips: dict[tuple[int, int, int], tuple[int, ...]]
     corner_maps: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def object_count(self) -> int:
         return len(self.object_vertices)
 
+    def vertex_map(self, u: int, v: int, rid: int) -> dict:
+        """The flip u -> v over ridge ``rid`` as a map of vertices."""
+        target = self.object_vertices[v]
+        return {x: target[s] for x, s in zip(self.object_vertices[u], self.flips[(u, v, rid)])}
+
     @staticmethod
     def from_complex(K: SimplicialComplex | CubicalComplex) -> "Groupoid":
         dual = facet_adjacency(K)
-        flips: dict[tuple[int, int, int], dict[int, int]] = {}
+        flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        if isinstance(K, SimplicialComplex):
+            objects = K.facets
+            for i, j, rid in dual.edges:
+                a, b = objects[i], objects[j]
+                pa, pb = _extra_slot(a, dual.ridges[rid]), _extra_slot(b, dual.ridges[rid])
+                flips[(i, j, rid)] = _exchange(len(a), pa, pb)
+                flips[(j, i, rid)] = _exchange(len(a), pb, pa)
+            return Groupoid(object_vertices=objects, dual=dual, flips=flips)
+        # slot s of cube c is its corner order[c][s]; corner x is slot slots[c][x]
+        order = [tuple(sorted(range(len(c)), key=c.__getitem__)) for c in K.cubes]
+        slots = [_inv(o) for o in order]
         for i, j, rid in dual.edges:
-            ridge = frozenset(dual.ridges[rid])
-            bij = _flip_bijection(K, i, j, ridge)
-            flips[(i, j, rid)] = bij
-            flips[(j, i, rid)] = {v: u for u, v in bij.items()}
+            flip = _mul(_mul(order[i], _cube_flip(K, i, j, dual.ridges[rid])), slots[j])
+            flips[(i, j, rid)] = flip
+            flips[(j, i, rid)] = _inv(flip)
         return Groupoid(
-            object_vertices=tuple(tuple(sorted(f)) for f in K.facets),
+            object_vertices=tuple(_mul(o, c) for o, c in zip(order, K.cubes)),
             dual=dual,
             flips=flips,
-            corner_maps=K.cubes if isinstance(K, CubicalComplex) else None,
+            corner_maps=K.cubes,
         )
 
 
-def _flip_bijection(K, i: int, j: int, ridge: frozenset) -> dict[int, int]:
-    if isinstance(K, SimplicialComplex):
-        a, b = set(K.facets[i]), set(K.facets[j])
-        extra_a, extra_b = a - ridge, b - ridge
-        if not ridge <= a or not ridge <= b or len(extra_a) != 1 or len(extra_b) != 1:
-            raise NotAdjacent(f"facets {i}, {j} do not share ridge {sorted(ridge)}")
-        bij = {v: v for v in ridge}
-        bij[next(iter(extra_a))] = next(iter(extra_b))
-        return bij
-    return _cube_flip(K, i, j, ridge)
+def _extra_slot(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
+    """The slot of a simplex's one vertex off the ridge."""
+    extra = set(facet).difference(ridge)
+    if len(extra) != 1 or len(facet) != len(ridge) + 1:
+        raise NotAdjacent(f"{list(ridge)} is not a ridge of facet {list(facet)}")
+    return facet.index(extra.pop())
 
 
-def _ridge_axis(index: dict[int, int], ridge: frozenset, k: int) -> int:
-    """Bitmask of the one corner coordinate that stays constant across
-    the ridge, from a cube's vertex -> corner index map."""
-    first = index[next(iter(ridge))]
+def _exchange(n: int, pa: int, pb: int) -> tuple[int, ...]:
+    """The flip between two objects of n slots that share all vertices
+    but one, at slot pa of the source and pb of the target: the shared
+    vertices keep their order, and the other goes from pa to pb."""
+    out = [*range(pb), *range(pb + 1, n)]
+    out.insert(pa, pb)
+    return tuple(out)
+
+
+def _ridge_axis(corners: list[int], n: int) -> int:
+    """Bitmask of the one corner coordinate that stays constant across a
+    ridge of an n-corner cube, from the ridge's corner indices."""
     varying = 0
-    for v in ridge:
-        varying |= index[v] ^ first
-    axis = ~varying & ((1 << k) - 1)
-    if axis.bit_count() != 1:
-        raise NotAdjacent(f"ridge {sorted(ridge)} is not a facet of the cube")
+    for x in corners:
+        varying |= x ^ corners[0]
+    axis = ~varying & (n - 1)
+    if 2 * len(corners) != n or axis.bit_count() != 1:
+        raise NotAdjacent("ridge is not a facet of the cube")
     return axis
 
 
-def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: frozenset) -> dict[int, int]:
-    ci, cj = K.cubes[i], K.cubes[j]
-    index_i, index_j = K.corner_index[i], K.corner_index[j]
-    axis_i = _ridge_axis(index_i, ridge, K.dim)
-    axis_j = _ridge_axis(index_j, ridge, K.dim)
-    # fix the ridge; each corner across it in i lands across it in j
-    bij = {v: v for v in ridge}
-    bij.update((ci[index_i[v] ^ axis_i], cj[index_j[v] ^ axis_j]) for v in ridge)
-    # defensive: the address map must be a cube symmetry
-    corner_map_signed(ci, cj, bij)
-    return bij
+def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[int]:
+    """The flip of cube i onto cube j across a shared ridge as a corner
+    index map: corner x of i goes to corner ``addr[x]`` of j.  The ridge
+    is fixed, each corner across it in i lands across it in j, and the
+    map is checked to be a cube symmetry."""
+    n = len(K.cubes[i])
+    xs = [K.corner_index[i][v] for v in ridge]
+    axis_i = _ridge_axis(xs, n)
+    ys = [K.corner_index[j][v] for v in ridge]
+    axis_j = _ridge_axis(ys, n)
+    addr = [0] * n
+    for x, y in zip(xs, ys):
+        addr[x] = y
+        addr[x ^ axis_i] = y ^ axis_j
+    _cube_symmetry(addr)
+    return addr
+
+
+def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The signed permutation (perm, signs) of the k-cube whose action on
+    flat corner indices is ``addr``, or ValueError when there is none.
+
+    Unit corner 1 << i must land one bit away from ``addr[0]``, at bit
+    perm[i], with sign -1 when ``addr[0]`` has that bit.  The map is then
+    affine, y[p[i]] = x[i] xor c[p[i]], exactly when every corner obeys
+    addr[x] == addr[x & (x - 1)] ^ addr[x & -x] ^ addr[0] (induction on
+    the bits of x), one check per corner.
+    """
+    c = addr[0]
+    perm, signs, seen = [], [], 0
+    for i in range(len(addr).bit_length() - 1):
+        moved = addr[1 << i] ^ c
+        if moved.bit_count() != 1 or moved & seen:
+            raise ValueError("corner bijection is not induced by a cube symmetry")
+        seen |= moved
+        perm.append(moved.bit_length() - 1)
+        signs.append(-1 if c & moved else 1)
+    if any(addr[x] != addr[x & (x - 1)] ^ addr[x & -x] ^ c for x in range(3, len(addr))):
+        raise ValueError("corner bijection is not induced by a cube symmetry")
+    return tuple(perm), tuple(signs)
 
 
 def corner_map_signed(source_corners: tuple[int, ...],
                       target_corners: tuple[int, ...],
                       bijection: dict[int, int]) -> SignedPerm:
-    """Extract the signed permutation behind a corner bijection.
-
-    The flat-index map must have the affine form y[p[i]] = x[i] xor c[p[i]];
-    anything else is rejected.  Unit corner 1 << i must land one bit away
-    from the image of corner 0, at bit p[i].
-    """
-    k = (len(source_corners) - 1).bit_length()
+    """Extract the signed permutation behind a corner bijection; anything
+    but a cube symmetry is rejected (see ``_cube_symmetry``)."""
     target_index = {v: idx for idx, v in enumerate(target_corners)}
-    addr = [target_index[bijection[v]] for v in source_corners]
-    perm, signs = [], []
-    for i in range(k):
-        moved = addr[1 << i] ^ addr[0]
-        if moved.bit_count() != 1:
-            raise ValueError("corner bijection is not induced by a cube symmetry")
-        perm.append(moved.bit_length() - 1)
-        signs.append(-1 if addr[0] & moved else 1)
-    sp = SignedPerm(Perm(tuple(perm)), tuple(signs))
-    if any(sp.apply_index(idx) != a for idx, a in enumerate(addr)):
-        raise ValueError("corner bijection is not induced by a cube symmetry")
-    return sp
+    perm, signs = _cube_symmetry([target_index[bijection[v]] for v in source_corners])
+    return SignedPerm(Perm(perm), signs)
 
 
 def elementary_morphisms(K, facet_i: int, facet_j: int,
@@ -195,18 +232,12 @@ def elementary_morphisms(K, facet_i: int, facet_j: int,
     For simplices and cubes the list has exactly one entry.
     """
     ridge_set = frozenset(ridge)
-    dual = facet_adjacency(K)
-    rid = None
-    for i, r in enumerate(dual.ridges):
-        if frozenset(r) == ridge_set:
-            rid = i
-            break
-    a, b = sorted((facet_i, facet_j))
-    if rid is None or (a, b, rid) not in set(dual.edges):
+    g = Groupoid.from_complex(K)
+    rid = next((i for i, r in enumerate(g.dual.ridges) if frozenset(r) == ridge_set), None)
+    if (facet_i, facet_j, rid) not in g.flips:
         raise NotAdjacent(
             f"facets {facet_i}, {facet_j} are not adjacent over {sorted(ridge_set)}")
-    bij = _flip_bijection(K, facet_i, facet_j, ridge_set)
-    return [ElemMorphism(facet_i, facet_j, rid, bij)]
+    return [ElemMorphism(facet_i, facet_j, rid, g.vertex_map(facet_i, facet_j, rid))]
 
 
 def transport(g: Groupoid, facets: Sequence[int],
@@ -232,13 +263,16 @@ def transport(g: Groupoid, facets: Sequence[int],
     ridges = tuple(ridges)
     if len(ridges) != len(facets) - 1:
         raise BrokenPath("need exactly one ridge per step")
-    bij = {v: v for v in g.object_vertices[facets[0]]}
+    source = g.object_vertices[facets[0]]
+    slots = tuple(range(len(source)))
     for u, v, r in zip(facets, facets[1:], ridges):
         step = g.flips.get((u, v, r))
         if step is None:
             raise BrokenPath(f"no flip {u} -> {v} over ridge {r}")
-        bij = {x: step[y] for x, y in bij.items()}
-    return TransportPath(facets=facets, ridges=ridges, bijection=bij)
+        slots = _mul(slots, step)
+    target = g.object_vertices[facets[-1]]
+    return TransportPath(facets=facets, ridges=ridges,
+                         bijection={x: target[s] for x, s in zip(source, slots)})
 
 
 def transport_pattern(p: Pattern, t: TransportPath) -> Pattern:
@@ -283,11 +317,11 @@ def tribar_groupoid() -> Groupoid:
         (1, 2, 1): _TRIBAR_STEPS[1],
         (2, 0, 2): _TRIBAR_STEPS[2],
     }
-    flips: dict[tuple[int, int, int], dict[int, int]] = {}
+    # each box lists its corners in increasing order, so slots are corners
+    flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for (src, dst, rid), sp in step_for_edge.items():
-        bij = {corners[src][idx]: corners[dst][sp.apply_index(idx)] for idx in range(1 << k)}
-        flips[(src, dst, rid)] = bij
-        flips[(dst, src, rid)] = {v: u for u, v in bij.items()}
+        flips[(src, dst, rid)] = flip = tuple(sp.apply_index(idx) for idx in range(1 << k))
+        flips[(dst, src, rid)] = _inv(flip)
     dual = DualMultigraph(node_count=3, edges=edges, ridges=((), (), ()))
     return Groupoid(
         object_vertices=tuple(tuple(c) for c in corners),

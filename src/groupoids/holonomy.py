@@ -22,12 +22,14 @@ from .complexes import (
     check_nondegenerate,
     facet_adjacency,
 )
-from .groupoid import Groupoid, corner_map_signed
+from .groupoid import Groupoid, _cube_symmetry
 from .permgroup import (
     GiantGroup,
     Perm,
     PermGroup,
     SignedPerm,
+    _inv,
+    _mul,
     closure_small,
     jordan_giant,
     recognize,
@@ -53,9 +55,16 @@ class HolonomyResult:
     generators: tuple[Perm, ...]
     group: PermGroup | GiantGroup
     tree_edges: tuple[tuple[int, int, int], ...]
-    vertex_bijections: tuple[dict[int, int], ...]
+    base_vertices: tuple
     signed_generators: tuple[SignedPerm, ...] | None
     outer_order: int
+
+    @property
+    def vertex_bijections(self) -> tuple[dict, ...]:
+        """Each loop as a self-map of the base's vertices."""
+        verts = self.base_vertices
+        return tuple({verts[s]: verts[t] for s, t in enumerate(p.images)}
+                     for p in self.generators)
 
     @property
     def order(self) -> int:
@@ -90,11 +99,12 @@ def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
     seeded shuffle of the exploration order when rng is given.
 
     Returns the tree edges as (i, j, ridge) with i < j, and the transport
-    from the base to every reached object, in BFS order; each transport
-    extends its parent's by one flip.
+    from the base to every reached object, in BFS order, as a slot image
+    tuple (slot s of the base goes to slot ``transport[s]`` of the
+    object); each transport extends its parent's by one flip.
     """
     tree: set[tuple[int, int, int]] = set()
-    transports = {base: {v: v for v in g.object_vertices[base]}}
+    transports = {base: tuple(range(len(g.object_vertices[base])))}
     queue = deque([base])
     while queue:
         u = queue.popleft()
@@ -103,8 +113,7 @@ def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
             rng.shuffle(edges)
         for rid, v in edges:
             if v not in transports:
-                step = g.flips[(u, v, rid)]
-                transports[v] = {x: step[y] for x, y in transports[u].items()}
+                transports[v] = _mul(transports[u], g.flips[(u, v, rid)])
                 tree.add((min(u, v), max(u, v), rid))
                 queue.append(v)
     return tree, transports
@@ -130,17 +139,9 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     if require_connected and len(to_base) != g.object_count:
         raise NotConnected(
             f"dual graph reaches {len(to_base)} of {g.object_count} objects from base")
-    gens: list[Perm] = []
-    bijections: list[dict[int, int]] = []
-    for i, j, rid in g.dual.edges:
-        if i not in to_base or (i, j, rid) in tree:
-            continue
-        flip = g.flips[(i, j, rid)]
-        forward = to_base[i]
-        back = {v: u for u, v in to_base[j].items()}
-        loop = {x: back[flip[forward[x]]] for x in g.object_vertices[base]}
-        bijections.append(loop)
-        gens.append(slot_perm(g, base, loop))
+    loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), _inv(to_base[j]))
+             for i, j, rid in g.dual.edges if i in to_base and (i, j, rid) not in tree]
+    gens = [Perm(loop) for loop in loops]
 
     degree = len(g.object_vertices[base])
     # Loops that move the most points go first: they generate most of the
@@ -152,17 +153,20 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     signed = None
     outer = math.factorial(degree)
     if g.corner_maps is not None:
+        # corner x of the base cube is slot slots[x]; slot s is corner order[s]
         base_corners = g.corner_maps[base]
-        signed = tuple(corner_map_signed(base_corners, base_corners, b)
-                       for b in bijections)
-        k = (len(base_corners) - 1).bit_length()
+        order = tuple(sorted(range(degree), key=base_corners.__getitem__))
+        slots = _inv(order)
+        signed = tuple(SignedPerm(Perm(perm), signs) for perm, signs in
+                       (_cube_symmetry(_mul(_mul(slots, loop), order)) for loop in loops))
+        k = (degree - 1).bit_length()
         outer = (1 << k) * math.factorial(k)
     return HolonomyResult(
         base=base,
         generators=tuple(gens),
         group=group,
         tree_edges=tuple(sorted(tree)),
-        vertex_bijections=tuple(bijections),
+        base_vertices=g.object_vertices[base],
         signed_generators=signed,
         outer_order=outer,
     )
@@ -204,17 +208,16 @@ def closed_path_oracle(g: Groupoid, base: int, max_len: int | None = None) -> fr
         max_len = 2 * g.object_count
     degree = len(g.object_vertices[base])
     found: set[Perm] = set()
-    start = {v: v for v in g.object_vertices[base]}
-    stack = [(base, start, 0)]
+    stack = [(base, tuple(range(degree)), 0)]
     while stack:
-        node, bij, length = stack.pop()
+        node, slots, length = stack.pop()
         if node == base:
-            found.add(slot_perm(g, base, bij))
+            found.add(Perm(slots))
         if length == max_len:
             continue
         for rid, nxt in g.dual.adjacency[node]:
             step = g.flips[(node, nxt, rid)]
-            stack.append((nxt, {x: step[y] for x, y in bij.items()}, length + 1))
+            stack.append((nxt, tuple(step[s] for s in slots), length + 1))
     return closure_small(found, degree=degree)
 
 

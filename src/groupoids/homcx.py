@@ -153,29 +153,37 @@ def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, 
     Enumeration backtracks vertex by vertex over the nonempty submasks,
     in increasing order, of the common neighborhood of the already
     assigned neighbors; cells come out in lexicographic mask order, so
-    ids are reproducible.
+    ids are reproducible.  ``masks[:i]`` is the current prefix and
+    ``masks[i]`` the submask tried at vertex i (0 before the first), so
+    the depth of G never reaches the interpreter's recursion limit.
     """
     n, full = G.vertex_count, (1 << H.vertex_count) - 1
     check_budget(n, H.vertex_count, budget)
     before = [[u for u in G.adjacency[i] if u < i] for i in range(n)]
     adj = H.adjacency_masks
     cells: list[HomCell] = []
-
-    def rec(prefix: tuple[int, ...]):
-        i = len(prefix)
-        allowed = full
-        for u in before[i]:
-            allowed &= _common(adj, full, prefix[u])
-        sub = -allowed & allowed    # the least nonempty submask
+    masks, allowed = [0] * n, [0] * n
+    i = 0 if n else -1
+    while i >= 0:
+        if masks[i]:
+            sub = (masks[i] - allowed[i]) & allowed[i]    # the next submask
+        else:
+            a = full
+            for u in before[i]:
+                a &= _common(adj, full, masks[u])
+            allowed[i], sub = a, -a & a                   # the least one
+        if sub and i + 1 < n:
+            masks[i] = sub
+            i += 1
+            continue
+        # vertex i is the last one or has no submask left: close a cell
+        # with each remaining submask, then back up
+        prefix, a = tuple(masks[:i]), allowed[i]
         while sub:
-            if i + 1 == n:
-                cells.append(HomCell._of(prefix + (sub,)))
-            else:
-                rec(prefix + (sub,))
-            sub = (sub - allowed) & allowed
-
-    if n:
-        rec(())
+            cells.append(HomCell._of(prefix + (sub,)))
+            sub = (sub - a) & a
+        masks[i] = 0
+        i -= 1
     return tuple(cells)
 
 

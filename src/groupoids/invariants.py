@@ -236,16 +236,15 @@ def transport_coloring(K: SimplicialComplex | CubicalComplex) -> RainbowColoring
         raise NontrivialHolonomy(f"holonomy has order {base_hol.order}")
 
     color: dict[int, int] = {}
-    for bij in spanning_tree(g, 0)[1].values():
-        for c, src in enumerate(g.object_vertices[0]):
-            dst = bij[src]
+    for obj, slots in spanning_tree(g, 0)[1].items():
+        for c, s in enumerate(slots):
+            dst = g.object_vertices[obj][s]
             if color.setdefault(dst, c) != c:
                 raise InconsistentExtension(
                     f"vertex {dst} received colors {color[dst]} and {c}")
     # re-validate across every flip, tree or not
     for i, j, rid in g.dual.edges:
-        step = g.flips[(i, j, rid)]
-        for src, dst in step.items():
+        for src, dst in g.vertex_map(i, j, rid).items():
             if color[src] != color[dst]:
                 raise InconsistentExtension(
                     f"flip {i}->{j} moves color {color[src]} onto {color[dst]}")

@@ -15,6 +15,7 @@ since they outgrow fixed-width integers quickly.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .complexes import CubicalComplex, SimplicialComplex, build_cubical, build_simplicial
@@ -108,16 +109,21 @@ def state_to_dict(s: LabelledState) -> dict:
     return {"hole": s.hole, "placement": {p: c for p, c in s.placement}}
 
 
+_ORIENTED = re.compile(r"([0-9]+),([0-9]+)")
+
+
 def _oriented(text: str) -> tuple[int, int]:
-    if not isinstance(text, str):
+    match = _ORIENTED.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"oriented edge {text!r} is not a string 'x,y'")
-    a, b = text.split(",")
-    return int(a), int(b)
+    return int(match[1]), int(match[2])
 
 
 def parse_connection(obj) -> GraphConnection:
     try:
         edges = [tuple(_integer(v, "vertex") for v in e) for e in obj["edges"]]
+        if not edges:
+            raise ValueError("the connection has no edges")
         n = len({v for e in edges for v in e})
         if any(not 0 <= v < n for e in edges for v in e):
             raise ValueError(f"vertex ids are not 0..{n - 1}")

@@ -223,6 +223,15 @@ def test_malformed_puzzle_state_is_input_error(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("hole", [4, 7, -1])
+def test_puzzle_hole_off_the_board_is_input_error(tmp_path, capsys, hole):
+    """Four pieces fill the 2x2 board, so only the hole's range is wrong."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"hole": hole, "placement": {"1": 0, "2": 1, "3": 2, "4": 3}}))
+    code = main(["puzzle", "reach", "--board", "2x2", "--from", str(path), "--to", str(path)])
+    assert_one_line_input_error(capsys, code, f"no cell {hole}")
+
+
 @pytest.mark.parametrize("argv", [["hom", "--g=", "--h", "k3"], ["hom", "--g", "k2", "--h="]],
                          ids=["g", "h"])
 def test_empty_graph_name_is_input_error(capsys, argv):
@@ -269,7 +278,13 @@ def test_oversized_graph_fails_fast(capsys, g, h, message):
     ({"edges": [[0, True], [1, 2]], "nabla": {}}, "vertex True is not an integer"),
     ({"edges": [[0, 1]], "nabla": {"0,1": {"0,1": 5}}}, "oriented edge 5 is not a string 'x,y'"),
     ({"edges": [[0, 5]], "nabla": {}}, "vertex ids are not 0..1"),
-], ids=["float-vertex", "list-table", "true-vertex", "int-target", "sparse-ids"])
+    ({"edges": [[0, 1]], "nabla": {"0,1_0": {}}}, "oriented edge '0,1_0' is not a string 'x,y'"),
+    ({"edges": [[0, 1]], "nabla": {" 1,+0": {}}}, "oriented edge ' 1,+0' is not a string 'x,y'"),
+    ({"edges": [[0, 1]], "nabla": {"0,1": {"0,\u0661": "1,0"}}},
+     "oriented edge '0,\u0661' is not a string 'x,y'"),
+    ({"edges": [], "nabla": {}}, "the connection has no edges"),
+], ids=["float-vertex", "list-table", "true-vertex", "int-target", "sparse-ids",
+        "underscore-key", "signed-key", "non-ascii-digit", "no-edges"])
 def test_malformed_connection_is_input_error(tmp_path, capsys, obj, message):
     path = tmp_path / "connection.json"
     path.write_text(json.dumps(obj))

@@ -26,6 +26,7 @@ from groupoids.complexes import (
     facet_adjacency,
 )
 from groupoids.corpus import (
+    bundled_dir,
     cube_grid_patch,
     cube_skeleton,
     cycle_complex,
@@ -35,6 +36,7 @@ from groupoids.corpus import (
     strip_complex,
 )
 from groupoids.cli import main
+from groupoids.games import grid_puzzle, ordered_state
 from groupoids.graphconn import rotation_connection
 from groupoids.homcx import complete_graph, cycle_graph
 from groupoids.serialize import (
@@ -43,6 +45,8 @@ from groupoids.serialize import (
     load_complex,
     parse_complex,
     parse_connection,
+    parse_state,
+    state_to_dict,
 )
 
 TEST_COMPLEXES = Path(__file__).resolve().parent / "complexes"
@@ -458,9 +462,9 @@ def _json_paths(node, path=()):
 
 
 @st.composite
-def _mutated_connections(draw):
-    """A valid connection file with one entry replaced by arbitrary JSON."""
-    obj = json.loads(json.dumps(draw(st.sampled_from(_valid_connections))))
+def _mutated(draw, valid):
+    """A valid input file with one entry replaced by arbitrary JSON."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(valid))))
     *path, last = draw(st.sampled_from(list(_json_paths(obj))[1:]))
     parent = obj
     for key in path:
@@ -476,7 +480,7 @@ _connections = st.one_of(
                                                             max_size=4) | _json, max_size=6)
         | _json}),
     st.sampled_from(_valid_connections),
-    _mutated_connections(),
+    _mutated(_valid_connections),
     _json,
 )
 
@@ -490,17 +494,85 @@ def test_parse_connection_raises_only_input_errors(obj):
         pass
 
 
+def _run_cli(files, argv) -> tuple[int, str]:
+    """Run the CLI in-process on JSON files written from ``files``; each
+    ``{}`` in argv is replaced by the next file's path.  Returns the exit
+    code and standard error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, obj in enumerate(files):
+            paths.append(f"{tmp}/input{i}.json")
+            with open(paths[-1], "w") as f:
+                json.dump(obj, f)
+        argv = [paths.pop(0) if arg == "{}" else arg for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err, allowed=(0, 2)):
+    """An exit code of the contract, no traceback, and a one-line message
+    on exit 2."""
+    assert code in allowed
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @settings(max_examples=300)
 @given(_connections, st.integers(-1, 4))
 def test_connection_command_exits_0_or_2_without_traceback(obj, base):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/connection.json"
-        with open(path, "w") as f:
-            json.dump(obj, f)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["connection", path, "--base", str(base)])
-    assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert_clean_exit(*_run_cli([obj], ["connection", "{}", "--base", str(base)]))
+
+
+_valid_complexes = [json.loads((bundled_dir() / name).read_text()) for name in (
+    "c3.json", "square.json", "cube.json", "grid2x2.json", "twisted-strip.json",
+    "tetrahedron-boundary.json", "tribar.json")]
+_fuzzed_complexes = _complexes | st.sampled_from(_valid_complexes) | _mutated(_valid_complexes)
+
+
+@settings(max_examples=300)
+@given(_fuzzed_complexes, st.sampled_from(["holonomy", "invariants"]), st.integers(-1, 3))
+def test_complex_commands_exit_0_or_2_without_traceback(obj, command, base):
+    argv = [command, "{}"] + (["--base", str(base)] if command == "holonomy" else [])
+    assert_clean_exit(*_run_cli([obj], argv))
+
+
+_valid_states = [state_to_dict(ordered_state(grid_puzzle(2, 2), hole)) for hole in (0, 3)]
+_states = st.one_of(
+    st.fixed_dictionaries({"hole": _vertex,
+                           "placement": st.dictionaries(st.text("123a", max_size=2), _vertex,
+                                                        max_size=5) | _json}),
+    st.fixed_dictionaries({"hole": _vertex,   # a piece on every cell
+                           "placement": st.just({str(c + 1): c for c in range(4)})}),
+    st.sampled_from(_valid_states),
+    _mutated(_valid_states),
+    _json,
+)
+
+
+@settings(max_examples=300)
+@given(_states)
+def test_parse_state_raises_only_input_errors(obj):
+    try:
+        parse_state(obj)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300)
+@given(_states, _states, st.sampled_from(["2x2", "1x4", "2x3"]))
+def test_puzzle_reach_command_exits_0_or_2_without_traceback(a, b, board):
+    assert_clean_exit(*_run_cli([a, b], ["puzzle", "reach", "--board", board,
+                                         "--from", "{}", "--to", "{}"]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-3, 3), st.integers(-1, 3), st.integers(-2, 4))
+def test_puzzle_holonomy_and_corpus_exit_codes(seed, count, base):
+    """Only a swept property can exit 1, and only the corpus sweeps."""
+    assert_clean_exit(*_run_cli([], ["puzzle", "holonomy", "--board", "2x3",
+                                     "--base", str(base)]))
+    assert_clean_exit(*_run_cli([], ["corpus", "--seed", str(seed), "--count", str(count)]),
+                      allowed=(0, 1, 2))

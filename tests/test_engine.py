@@ -61,8 +61,8 @@ def test_connection_holonomy_matches_oracle(c, max_len):
 def test_puzzle_groupoid_flip_moves_one_piece():
     g = puzzle_groupoid(grid_puzzle(2, 2))
     assert g.object_vertices[0] == (1, 2, 3)
-    assert g.flips[(0, 1, 0)] == {1: 0, 2: 2, 3: 3}
-    assert g.flips[(1, 0, 0)] == {0: 1, 2: 2, 3: 3}
+    assert g.vertex_map(0, 1, 0) == {1: 0, 2: 2, 3: 3}
+    assert g.vertex_map(1, 0, 0) == {0: 1, 2: 2, 3: 3}
 
 
 def test_dual_graph_is_built_once_per_complex():

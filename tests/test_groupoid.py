@@ -122,7 +122,7 @@ def test_flip_around_cube_corner_is_even():
     K, _ = cube_skeleton(3, 2)
     g = Groupoid.from_complex(K)
     i, j, rid = g.dual.edges[0]
-    sp = corner_map_signed(K.cubes[i], K.cubes[j], g.flips[(i, j, rid)])
+    sp = corner_map_signed(K.cubes[i], K.cubes[j], g.vertex_map(i, j, rid))
     assert signed_parity(sp) == 0
 
 
@@ -148,8 +148,8 @@ def test_flip_uniqueness_and_ridge_fixing(K):
         for v in ridge:
             assert bij[v] == v
         # stored flips agree and invert each other
-        assert g.flips[(i, j, rid)] == bij
-        assert g.flips[(j, i, rid)] == {v: u for u, v in bij.items()}
+        assert g.vertex_map(i, j, rid) == bij
+        assert g.vertex_map(j, i, rid) == {v: u for u, v in bij.items()}
 
 
 def test_transport_empty_path_is_identity():
@@ -176,7 +176,7 @@ def test_transport_matches_stepwise_flips():
     bij = {v: v for v in g.object_vertices[0]}
     for u, v in zip(path, path[1:]):
         rid = next(r for r, w in g.dual.adjacency[u] if w == v)
-        step = g.flips[(u, v, rid)]
+        step = g.vertex_map(u, v, rid)
         bij = {x: step[y] for x, y in bij.items()}
     assert t.bijection == bij
     assert t.to_wire()[0::2] == list(path)
@@ -251,9 +251,9 @@ def test_pattern_base_mismatch():
 
 def test_tribar_loop_is_order_four():
     g = tribar_groupoid()
-    ab = g.flips[(0, 1, 0)]
-    bc = g.flips[(1, 2, 1)]
-    ca = g.flips[(2, 0, 2)]
+    ab = g.vertex_map(0, 1, 0)
+    bc = g.vertex_map(1, 2, 1)
+    ca = g.vertex_map(2, 0, 2)
     eta = {v: ca[bc[ab[v]]] for v in g.object_vertices[0]}
     power = dict(eta)
     orders = []

@@ -167,6 +167,16 @@ def test_guards():
         graph_hom_exists(Graph(25, ()), 2)
 
 
+def test_deep_graph_needs_no_recursion():
+    """The candidate budget admits any vertex count into K1 or K0, deeper
+    than the interpreter's recursion limit."""
+    (cell,) = hom_complex(Graph(4000, ()), graph_by_name("k1"))
+    assert cell.masks == (1,) * 4000 and cell.dim == 0
+    path = Graph(3000, tuple((i, i + 1) for i in range(2999)))
+    assert hom_complex(path, graph_by_name("k1")) == ()
+    assert hom_complex(Graph(0, ()), K2) == ()
+
+
 def test_precompose_functoriality():
     C5 = cycle_graph(5)
     C10 = cycle_graph(10)

@@ -46,8 +46,8 @@ def loops_groupoid(gens: list[Perm]) -> Groupoid:
     n = gens[0].degree
     flips = {}
     for rid, g in enumerate([Perm.identity(n), *gens]):
-        flips[(0, 1, rid)] = dict(enumerate(g.images))
-        flips[(1, 0, rid)] = {y: x for x, y in enumerate(g.images)}
+        flips[(0, 1, rid)] = g.images
+        flips[(1, 0, rid)] = g.inverse().images
     edges = tuple((0, 1, rid) for rid in range(len(gens) + 1))
     return Groupoid(object_vertices=(tuple(range(n)),) * 2,
                     dual=DualMultigraph(2, edges, ((),) * len(edges)), flips=flips)

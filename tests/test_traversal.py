@@ -210,8 +210,8 @@ def test_cube_flips_match_the_face_scan():
         g = Groupoid.from_complex(K)
         for i, j, rid in g.dual.edges:
             want = reference_cube_flip(K, i, j, frozenset(g.dual.ridges[rid]))
-            assert g.flips[(i, j, rid)] == want
-            assert g.flips[(j, i, rid)] == {v: u for u, v in want.items()}
+            assert g.vertex_map(i, j, rid) == want
+            assert g.vertex_map(j, i, rid) == {v: u for u, v in want.items()}
 
 
 def test_cube_flip_rejects_a_non_ridge():
