@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .complexes import DualMultigraph, bfs, tree_path
+from .complexes import bfs, tree_path
 from .groupoid import Groupoid, _exchange
 from .holonomy import holonomy
 from .permgroup import GiantGroup, Perm, PermGroup
@@ -167,20 +167,9 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
     """
     n = board.cell_count
     cells = tuple(range(n))
-    others = tuple(cells[:u] + cells[u + 1:] for u in cells)
-    flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for rid, (a, b) in enumerate(board.edges):
-        # cell b sits at slot b - 1 of object a (a < b), cell a at slot a of b
-        flips[(a, b, rid)] = _exchange(n - 1, b - 1, a)
-        flips[(b, a, rid)] = _exchange(n - 1, a, b - 1)
-    return Groupoid(
-        object_vertices=others,
-        dual=DualMultigraph(
-            node_count=board.cell_count,
-            edges=tuple((a, b, rid) for rid, (a, b) in enumerate(board.edges)),
-            ridges=board.edges),
-        flips=flips,
-    )
+    # cell y sits at slot y - (y > x) of object x
+    return Groupoid.on_graph(tuple(cells[:u] + cells[u + 1:] for u in cells), board.edges,
+                             lambda x, y: _exchange(n - 1, y - (y > x), x - (x > y)))
 
 
 def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:

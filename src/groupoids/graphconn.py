@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import DualMultigraph
 from .groupoid import Groupoid
 from .holonomy import NotConnected, holonomy
 from .homcx import Graph, cycle_graph
@@ -126,22 +125,10 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     Objects are vertices, the vertices of an object are its star, dual
     edge ``rid`` is ``graph.edges[rid]``, and the flips are the tables.
     """
-    graph = c.graph
-    stars = tuple(star(graph, x) for x in range(graph.vertex_count))
+    stars = tuple(star(c.graph, x) for x in range(c.graph.vertex_count))
     slot = {e: s for edges in stars for s, e in enumerate(edges)}  # (x, w) -> its slot in star x
-    flips = {}
-    for rid, (a, b) in enumerate(graph.edges):
-        for x, y in ((a, b), (b, a)):
-            table = c.nabla[(x, y)]
-            flips[(x, y, rid)] = tuple([slot[table[e]] for e in stars[x]])
-    return Groupoid(
-        object_vertices=stars,
-        dual=DualMultigraph(
-            node_count=graph.vertex_count,
-            edges=tuple((a, b, rid) for rid, (a, b) in enumerate(graph.edges)),
-            ridges=graph.edges),
-        flips=flips,
-    )
+    return Groupoid.on_graph(stars, c.graph.edges, lambda x, y: tuple(
+        [slot[e] for e in map(c.nabla[(x, y)].__getitem__, stars[x])]))
 
 
 def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup | GiantGroup:

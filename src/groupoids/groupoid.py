@@ -9,9 +9,11 @@ across the shared facet is unique as well.  The API still returns a
 sequence of morphisms so poset families with genuine multiplicity can
 slot in later.
 
-Composites follow the left-to-right convention of :mod:`permgroup`:
-a path written source-to-target multiplies its step bijections in
-reading order.
+Slot s of an object is its s-th vertex in ``object_vertices``, and a
+flip is stored as an image tuple over slots.  Composites follow the
+left-to-right convention of :mod:`permgroup`: a path written
+source-to-target multiplies its step tuples with ``_mul`` in reading
+order.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class ElemMorphism:
     target: int
     ridge: int
     bijection: dict[int, int]
-
-    def inverse(self) -> "ElemMorphism":
-        return ElemMorphism(self.target, self.source, self.ridge,
-                            {v: u for u, v in self.bijection.items()})
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,11 @@ class Pattern:
 class Groupoid:
     """Objects plus the elementary-morphism store and dual multigraph.
 
-    Slot s of object u is its vertex ``object_vertices[u][s]``.  The flip
-    u -> v over ridge ``rid`` is stored in ``flips[(u, v, rid)]`` as an
-    image tuple: slot s of u goes to slot ``flip[s]`` of v, so transports
-    compose with ``permgroup._mul``.  ``vertex_map`` gives one flip as a
-    map of vertices.  Construction precomputes the flip table;
-    afterwards everything is read-only.  ``corner_maps`` is set when
-    objects are cubes (cubical complexes and the built-in tribar),
-    enabling the signed-permutation view of morphisms;
-    ``corner_maps[c][i]`` is the vertex at flat corner index i of cube c.
+    ``flips[(u, v, rid)]`` sends slot s of u to slot ``flip[s]`` of v;
+    ``vertex_map`` gives it as a map of vertices.  Everything is
+    read-only.  ``corner_maps`` is set when objects are cubes (cubical
+    complexes and the built-in tribar): ``corner_maps[c][i]`` is the
+    vertex at flat corner index i of cube c.
     """
 
     object_vertices: tuple[tuple, ...]
@@ -118,30 +112,31 @@ class Groupoid:
         return {x: target[s] for x, s in zip(self.object_vertices[u], self.flips[(u, v, rid)])}
 
     @staticmethod
+    def on_graph(objects: tuple[tuple, ...], edges: tuple[tuple[int, int], ...], flip) -> "Groupoid":
+        """Objects joined along graph edges: dual edge ``rid`` is ``edges[rid]``,
+        which also names its ridge, and ``flip(x, y)`` is the flip x -> y."""
+        dual = DualMultigraph(len(objects), tuple((a, b, rid) for rid, (a, b) in enumerate(edges)), edges)
+        return Groupoid(objects, dual, {(x, y, rid): flip(x, y) for a, b, rid in dual.edges
+                                        for x, y in ((a, b), (b, a))})
+
+    @staticmethod
     def from_complex(K: SimplicialComplex | CubicalComplex) -> "Groupoid":
         dual = facet_adjacency(K)
         flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
         if isinstance(K, SimplicialComplex):
             objects = K.facets
             for i, j, rid in dual.edges:
-                a, b = objects[i], objects[j]
-                pa, pb = _extra_slot(a, dual.ridges[rid]), _extra_slot(b, dual.ridges[rid])
-                flips[(i, j, rid)] = _exchange(len(a), pa, pb)
-                flips[(j, i, rid)] = _exchange(len(a), pb, pa)
+                pa, pb = (_extra_slot(objects[x], dual.ridges[rid]) for x in (i, j))
+                flips[(i, j, rid)] = _exchange(len(objects[i]), pa, pb)
+                flips[(j, i, rid)] = _exchange(len(objects[i]), pb, pa)
             return Groupoid(object_vertices=objects, dual=dual, flips=flips)
-        # slot s of cube c is its corner order[c][s]; corner x is slot slots[c][x]
-        order = [tuple(sorted(range(len(c)), key=c.__getitem__)) for c in K.cubes]
+        order = [tuple(sorted(range(len(c)), key=c.__getitem__)) for c in K.cubes]  # slot -> corner
         slots = [_inv(o) for o in order]
         for i, j, rid in dual.edges:
             flip = _mul(_mul(order[i], _cube_flip(K, i, j, dual.ridges[rid])), slots[j])
             flips[(i, j, rid)] = flip
             flips[(j, i, rid)] = _inv(flip)
-        return Groupoid(
-            object_vertices=tuple(_mul(o, c) for o, c in zip(order, K.cubes)),
-            dual=dual,
-            flips=flips,
-            corner_maps=K.cubes,
-        )
+        return Groupoid(tuple(_mul(o, c) for o, c in zip(order, K.cubes)), dual, flips, K.cubes)
 
 
 def _extra_slot(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
@@ -153,36 +148,31 @@ def _extra_slot(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
 
 
 def _exchange(n: int, pa: int, pb: int) -> tuple[int, ...]:
-    """The flip between two objects of n slots that share all vertices
-    but one, at slot pa of the source and pb of the target: the shared
-    vertices keep their order, and the other goes from pa to pb."""
-    out = [*range(pb), *range(pb + 1, n)]
-    out.insert(pa, pb)
-    return tuple(out)
+    """The flip between objects of n slots that share all vertices but
+    the one at slot pa of the source and pb of the target, in order."""
+    rest = [*range(pb), *range(pb + 1, n)]
+    return (*rest[:pa], pb, *rest[pa:])
 
 
-def _ridge_axis(corners: list[int], n: int) -> int:
-    """Bitmask of the one corner coordinate that stays constant across a
-    ridge of an n-corner cube, from the ridge's corner indices."""
+def _ridge_corners(index: dict[int, int], ridge: Iterable[int], n: int) -> tuple[list[int], int]:
+    """A ridge's corner indices in an n-corner cube (from its vertex ->
+    corner index map) and the bitmask of the one coordinate they share."""
+    corners = [index[v] for v in ridge]
     varying = 0
     for x in corners:
         varying |= x ^ corners[0]
     axis = ~varying & (n - 1)
     if 2 * len(corners) != n or axis.bit_count() != 1:
         raise NotAdjacent("ridge is not a facet of the cube")
-    return axis
+    return corners, axis
 
 
 def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[int]:
-    """The flip of cube i onto cube j across a shared ridge as a corner
-    index map: corner x of i goes to corner ``addr[x]`` of j.  The ridge
-    is fixed, each corner across it in i lands across it in j, and the
-    map is checked to be a cube symmetry."""
+    """The flip of cube i onto cube j across their ridge: corner x of i
+    goes to corner ``addr[x]`` of j, checked to be a cube symmetry."""
     n = len(K.cubes[i])
-    xs = [K.corner_index[i][v] for v in ridge]
-    axis_i = _ridge_axis(xs, n)
-    ys = [K.corner_index[j][v] for v in ridge]
-    axis_j = _ridge_axis(ys, n)
+    xs, axis_i = _ridge_corners(K.corner_index[i], ridge, n)
+    ys, axis_j = _ridge_corners(K.corner_index[j], ridge, n)
     addr = [0] * n
     for x, y in zip(xs, ys):
         addr[x] = y
@@ -192,14 +182,11 @@ def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[
 
 
 def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The signed permutation (perm, signs) of the k-cube whose action on
-    flat corner indices is ``addr``, or ValueError when there is none.
-
-    Unit corner 1 << i must land one bit away from ``addr[0]``, at bit
-    perm[i], with sign -1 when ``addr[0]`` has that bit.  The map is then
-    affine, y[p[i]] = x[i] xor c[p[i]], exactly when every corner obeys
-    addr[x] == addr[x & (x - 1)] ^ addr[x & -x] ^ addr[0] (induction on
-    the bits of x), one check per corner.
+    """The signed permutation (perm, signs) whose action on flat corner
+    indices is ``addr``, or ValueError when there is none.  Unit corner
+    1 << i must land one bit away from ``addr[0]``, at bit perm[i], with
+    sign -1 when ``addr[0]`` has that bit; the map is then affine exactly
+    when every corner x has addr[x] == addr[x & (x-1)] ^ addr[x & -x] ^ addr[0].
     """
     c = addr[0]
     perm, signs, seen = [], [], 0
@@ -210,13 +197,13 @@ def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...
         seen |= moved
         perm.append(moved.bit_length() - 1)
         signs.append(-1 if c & moved else 1)
-    if any(addr[x] != addr[x & (x - 1)] ^ addr[x & -x] ^ c for x in range(3, len(addr))):
-        raise ValueError("corner bijection is not induced by a cube symmetry")
+    for x in range(3, len(addr)):
+        if addr[x] != addr[x & (x - 1)] ^ addr[x & -x] ^ c:
+            raise ValueError("corner bijection is not induced by a cube symmetry")
     return tuple(perm), tuple(signs)
 
 
-def corner_map_signed(source_corners: tuple[int, ...],
-                      target_corners: tuple[int, ...],
+def corner_map_signed(source_corners: tuple[int, ...], target_corners: tuple[int, ...],
                       bijection: dict[int, int]) -> SignedPerm:
     """Extract the signed permutation behind a corner bijection; anything
     but a cube symmetry is rejected (see ``_cube_symmetry``)."""
@@ -309,23 +296,12 @@ def tribar_groupoid() -> Groupoid:
     group is cyclic of order 4 even though every single step looks
     perfectly consistent.
     """
-    k = 3
-    corners = tuple(tuple(8 * obj + idx for idx in range(1 << k)) for obj in range(3))
-    edges = ((0, 1, 0), (1, 2, 1), (0, 2, 2))
-    step_for_edge = {
-        (0, 1, 0): _TRIBAR_STEPS[0],
-        (1, 2, 1): _TRIBAR_STEPS[1],
-        (2, 0, 2): _TRIBAR_STEPS[2],
-    }
     # each box lists its corners in increasing order, so slots are corners
+    corners = tuple(tuple(range(8 * box, 8 * box + 8)) for box in range(3))
     flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for (src, dst, rid), sp in step_for_edge.items():
-        flips[(src, dst, rid)] = flip = tuple(sp.apply_index(idx) for idx in range(1 << k))
+    for (src, dst, rid), sp in zip(((0, 1, 0), (1, 2, 1), (2, 0, 2)), _TRIBAR_STEPS):
+        flips[(src, dst, rid)] = flip = tuple(map(sp.apply_index, range(8)))
         flips[(dst, src, rid)] = _inv(flip)
-    dual = DualMultigraph(node_count=3, edges=edges, ridges=((), (), ()))
-    return Groupoid(
-        object_vertices=tuple(tuple(c) for c in corners),
-        dual=dual,
-        flips=flips,
-        corner_maps=corners,
-    )
+    return Groupoid(object_vertices=corners,
+                    dual=DualMultigraph(3, ((0, 1, 0), (1, 2, 1), (0, 2, 2)), ((), (), ())),
+                    flips=flips, corner_maps=corners)

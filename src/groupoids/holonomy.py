@@ -63,8 +63,7 @@ class HolonomyResult:
     def vertex_bijections(self) -> tuple[dict, ...]:
         """Each loop as a self-map of the base's vertices."""
         verts = self.base_vertices
-        return tuple({verts[s]: verts[t] for s, t in enumerate(p.images)}
-                     for p in self.generators)
+        return tuple(dict(zip(verts, _mul(p.images, verts))) for p in self.generators)
 
     @property
     def order(self) -> int:
@@ -98,10 +97,9 @@ def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
     """BFS tree from the base with lowest-ridge-id tie-breaking, or a
     seeded shuffle of the exploration order when rng is given.
 
-    Returns the tree edges as (i, j, ridge) with i < j, and the transport
-    from the base to every reached object, in BFS order, as a slot image
-    tuple (slot s of the base goes to slot ``transport[s]`` of the
-    object); each transport extends its parent's by one flip.
+    Returns the tree edges as (i, j, ridge) with i < j, and the slot
+    transport from the base to every reached object, in BFS order; each
+    transport extends its parent's by one flip.
     """
     tree: set[tuple[int, int, int]] = set()
     transports = {base: tuple(range(len(g.object_vertices[base])))}
@@ -235,19 +233,15 @@ def induced_embedding_check(f: VertexMap, base: int = 0) -> bool:
     if src.dim != dst.dim:
         raise NotNondegenerate(
             f"complexes have different depths {src.dim} and {dst.dim}")
-    src_g = Groupoid.from_complex(src)
+    src_g, dst_g = Groupoid.from_complex(src), Groupoid.from_complex(dst)
     src_hol = holonomy(src_g, base)
-    image_set = frozenset(f(v) for v in src_g.object_vertices[base])
-    dst_g = Groupoid.from_complex(dst)
+    image = [f(v) for v in src_g.object_vertices[base]]
     target_base = next(i for i, verts in enumerate(dst_g.object_vertices)
-                       if frozenset(verts) == image_set)
+                       if set(verts) == set(image))
     dst_hol = holonomy(dst_g, target_base)
-
-    image_perms = []
-    for bij in src_hol.vertex_bijections:
-        renamed = {f(u): f(v) for u, v in bij.items()}
-        image_perms.append(slot_perm(dst_g, target_base, renamed))
+    # slot s of the source base lands on slot relabel[s] of the target base
+    relabel = tuple(map(dst_g.object_vertices[target_base].index, image))
+    image_perms = [Perm(_mul(_mul(_inv(relabel), p.images), relabel)) for p in src_hol.generators]
     if not all(dst_hol.group.contains(p) for p in image_perms):
         return False
-    image_group = schreier_sims(image_perms, degree=len(image_set))
-    return image_group.order == src_hol.order
+    return schreier_sims(image_perms, degree=len(image)).order == src_hol.order

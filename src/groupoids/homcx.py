@@ -153,9 +153,8 @@ def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, 
     Enumeration backtracks vertex by vertex over the nonempty submasks,
     in increasing order, of the common neighborhood of the already
     assigned neighbors; cells come out in lexicographic mask order, so
-    ids are reproducible.  ``masks[:i]`` is the current prefix and
-    ``masks[i]`` the submask tried at vertex i (0 before the first), so
-    the depth of G never reaches the interpreter's recursion limit.
+    ids are reproducible.  The walk keeps its own stack, ``masks``, so G
+    may be deeper than the interpreter's recursion limit.
     """
     n, full = G.vertex_count, (1 << H.vertex_count) - 1
     check_budget(n, H.vertex_count, budget)
@@ -168,16 +167,13 @@ def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, 
         if masks[i]:
             sub = (masks[i] - allowed[i]) & allowed[i]    # the next submask
         else:
-            a = full
-            for u in before[i]:
-                a &= _common(adj, full, masks[u])
+            a = reduce(and_, [_common(adj, full, masks[u]) for u in before[i]], full)
             allowed[i], sub = a, -a & a                   # the least one
         if sub and i + 1 < n:
             masks[i] = sub
             i += 1
             continue
-        # vertex i is the last one or has no submask left: close a cell
-        # with each remaining submask, then back up
+        # i is the last vertex or has no submask left: close the cells, back up
         prefix, a = tuple(masks[:i]), allowed[i]
         while sub:
             cells.append(HomCell._of(prefix + (sub,)))

@@ -109,11 +109,8 @@ def state_to_dict(s: LabelledState) -> dict:
     return {"hole": s.hole, "placement": {p: c for p, c in s.placement}}
 
 
-_ORIENTED = re.compile(r"([0-9]+),([0-9]+)")
-
-
 def _oriented(text: str) -> tuple[int, int]:
-    match = _ORIENTED.fullmatch(text) if isinstance(text, str) else None
+    match = re.fullmatch(r"([0-9]+),([0-9]+)", text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"oriented edge {text!r} is not a string 'x,y'")
     return int(match[1]), int(match[2])
