@@ -235,10 +235,6 @@ class CubicalComplex:
         return self.cubes
 
     @cached_property
-    def corner_index(self) -> tuple[dict[int, int], ...]:
-        return tuple({v: i for i, v in enumerate(c)} for c in self.cubes)
-
-    @cached_property
     def cube_face_lists(self) -> tuple[tuple, ...]:
         """Per cube, (free_coords, vertex frozenset) for every face, read
         off the shared face template of its dimension."""

@@ -154,10 +154,11 @@ def _exchange(n: int, pa: int, pb: int) -> tuple[int, ...]:
     return (*rest[:pa], pb, *rest[pa:])
 
 
-def _ridge_corners(index: dict[int, int], ridge: Iterable[int], n: int) -> tuple[list[int], int]:
-    """A ridge's corner indices in an n-corner cube (from its vertex ->
-    corner index map) and the bitmask of the one coordinate they share."""
-    corners = [index[v] for v in ridge]
+def _ridge_corners(cube: tuple[int, ...], ridge: Iterable[int]) -> tuple[list[int], int]:
+    """A ridge's corner indices in a cube, and the bitmask of the one
+    coordinate they share."""
+    n = len(cube)
+    corners = [cube.index(v) for v in ridge]
     varying = 0
     for x in corners:
         varying |= x ^ corners[0]
@@ -170,10 +171,9 @@ def _ridge_corners(index: dict[int, int], ridge: Iterable[int], n: int) -> tuple
 def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[int]:
     """The flip of cube i onto cube j across their ridge: corner x of i
     goes to corner ``addr[x]`` of j, checked to be a cube symmetry."""
-    n = len(K.cubes[i])
-    xs, axis_i = _ridge_corners(K.corner_index[i], ridge, n)
-    ys, axis_j = _ridge_corners(K.corner_index[j], ridge, n)
-    addr = [0] * n
+    xs, axis_i = _ridge_corners(K.cubes[i], ridge)
+    ys, axis_j = _ridge_corners(K.cubes[j], ridge)
+    addr = [0] * len(K.cubes[i])
     for x, y in zip(xs, ys):
         addr[x] = y
         addr[x ^ axis_i] = y ^ axis_j

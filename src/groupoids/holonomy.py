@@ -139,7 +139,8 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
             f"dual graph reaches {len(to_base)} of {g.object_count} objects from base")
     loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), _inv(to_base[j]))
              for i, j, rid in g.dual.edges if i in to_base and (i, j, rid) not in tree]
-    gens = [Perm(loop) for loop in loops]
+    perms = {loop: Perm(loop) for loop in loops}    # loops repeat: one Perm each
+    gens = [perms[loop] for loop in loops]
 
     degree = len(g.object_vertices[base])
     # Loops that move the most points go first: they generate most of the
@@ -152,11 +153,11 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     outer = math.factorial(degree)
     if g.corner_maps is not None:
         # corner x of the base cube is slot slots[x]; slot s is corner order[s]
-        base_corners = g.corner_maps[base]
-        order = tuple(sorted(range(degree), key=base_corners.__getitem__))
+        order = tuple(sorted(range(degree), key=g.corner_maps[base].__getitem__))
         slots = _inv(order)
-        signed = tuple(SignedPerm(Perm(perm), signs) for perm, signs in
-                       (_cube_symmetry(_mul(_mul(slots, loop), order)) for loop in loops))
+        signed_of = {loop: SignedPerm(Perm(perm), signs) for loop in perms for perm, signs
+                     in [_cube_symmetry(_mul(_mul(slots, loop), order))]}
+        signed = tuple(signed_of[loop] for loop in loops)
         k = (degree - 1).bit_length()
         outer = (1 << k) * math.factorial(k)
     return HolonomyResult(

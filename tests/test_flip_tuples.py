@@ -1,6 +1,7 @@
 """Flips as slot image tuples against the vertex-dict construction.
 
-The reference below is the earlier construction, kept as it was: every
+The reference below is the earlier construction, kept as it was (but
+for the vertex -> corner index maps, built here per cube): every
 flip a dict from vertex to vertex (``_flip_bijection``, and
 ``_cube_flip`` checked by ``corner_map_signed`` through
 ``SignedPerm.apply_index``), transports composed as dicts along the BFS
@@ -60,7 +61,7 @@ def _ridge_axis(index: dict[int, int], ridge: frozenset, k: int) -> int:
 
 def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: frozenset) -> dict[int, int]:
     ci, cj = K.cubes[i], K.cubes[j]
-    index_i, index_j = K.corner_index[i], K.corner_index[j]
+    index_i, index_j = ({v: x for x, v in enumerate(c)} for c in (ci, cj))
     axis_i = _ridge_axis(index_i, ridge, K.dim)
     axis_j = _ridge_axis(index_j, ridge, K.dim)
     # fix the ridge; each corner across it in i lands across it in j

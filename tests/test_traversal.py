@@ -178,7 +178,7 @@ def reference_frozen_coordinate(K, cube, ridge):
     for free, verts in K.cube_face_lists[cube]:
         if len(free) == K.dim - 1 and verts == ridge:
             coord, = set(range(K.dim)) - set(free)
-            return coord, (K.corner_index[cube][min(verts)] >> coord) & 1
+            return coord, (K.cubes[cube].index(min(verts)) >> coord) & 1
     raise NotAdjacent(f"ridge {sorted(ridge)} is not a facet of cube {cube}")
 
 
@@ -187,7 +187,7 @@ def reference_cube_flip(K, i, j, ridge):
     ci, cj = K.cubes[i], K.cubes[j]
     coord_i, bit_i = reference_frozen_coordinate(K, i, ridge)
     coord_j, bit_j = reference_frozen_coordinate(K, j, ridge)
-    index_j = K.corner_index[j]
+    index_j = {v: x for x, v in enumerate(cj)}
     bij = {}
     for idx in range(1 << k):
         bits = list(_index_bits(idx, k))
