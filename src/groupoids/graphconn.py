@@ -123,7 +123,8 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     """The groupoid of a connection whose tables are already validated.
 
     Objects are vertices, the vertices of an object are its star, dual
-    edge ``rid`` is ``graph.edges[rid]``, and the flips are the tables.
+    edge ``rid`` is ``graph.edges[rid]``, and the flips are the tables,
+    read as slot tuples through one slot index of every star.
     """
     stars = tuple(star(c.graph, x) for x in range(c.graph.vertex_count))
     slot = {e: s for edges in stars for s, e in enumerate(edges)}  # (x, w) -> its slot in star x

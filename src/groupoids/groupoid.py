@@ -19,7 +19,9 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import and_, or_
+from typing import Callable, Iterable, Sequence
 
 from .complexes import (
     CubicalComplex,
@@ -112,10 +114,11 @@ class Groupoid:
         return {x: target[s] for x, s in zip(self.object_vertices[u], self.flips[(u, v, rid)])}
 
     @staticmethod
-    def on_graph(objects: tuple[tuple, ...], edges: tuple[tuple[int, int], ...], flip) -> "Groupoid":
+    def on_graph(objects: tuple[tuple, ...], edges: tuple[tuple[int, int], ...],
+                 flip: Callable[[int, int], tuple[int, ...]]) -> "Groupoid":
         """Objects joined along graph edges: dual edge ``rid`` is ``edges[rid]``,
         which also names its ridge, and ``flip(x, y)`` is the flip x -> y."""
-        dual = DualMultigraph(len(objects), tuple((a, b, rid) for rid, (a, b) in enumerate(edges)), edges)
+        dual = DualMultigraph(len(objects), tuple((*e, rid) for rid, e in enumerate(edges)), edges)
         return Groupoid(objects, dual, {(x, y, rid): flip(x, y) for a, b, rid in dual.edges
                                         for x, y in ((a, b), (b, a))})
 
@@ -157,13 +160,10 @@ def _exchange(n: int, pa: int, pb: int) -> tuple[int, ...]:
 def _ridge_corners(cube: tuple[int, ...], ridge: Iterable[int]) -> tuple[list[int], int]:
     """A ridge's corner indices in a cube, and the bitmask of the one
     coordinate they share."""
-    n = len(cube)
     corners = [cube.index(v) for v in ridge]
-    varying = 0
-    for x in corners:
-        varying |= x ^ corners[0]
-    axis = ~varying & (n - 1)
-    if 2 * len(corners) != n or axis.bit_count() != 1:
+    # a bit varies across the ridge when some corner has it and some lacks it
+    axis = ~(reduce(or_, corners, 0) ^ reduce(and_, corners, -1)) & (len(cube) - 1)
+    if 2 * len(corners) != len(cube) or axis.bit_count() != 1:
         raise NotAdjacent("ridge is not a facet of the cube")
     return corners, axis
 

@@ -5,7 +5,9 @@ fundamental cycles: each non-tree edge of the dual multigraph closes a
 loop whose transport permutation is one generator.  Generators act on
 the vertex SLOTS of the base object (positions 0..d in sorted vertex
 order), not on global ids, so groups are comparable across complexes
-and directly track a slot pattern carried around a loop.
+and directly track a slot pattern carried around a loop.  Flips are
+slot image tuples already, so transports and loops are products of
+tuples (``permgroup._mul``) and no vertex map is built on the way.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (
     CubicalComplex,
@@ -53,7 +56,6 @@ class NotNondegenerate(ValueError):
 class HolonomyResult:
     base: int
     generators: tuple[Perm, ...]
-    group: PermGroup | GiantGroup
     tree_edges: tuple[tuple[int, int, int], ...]
     base_vertices: tuple
     signed_generators: tuple[SignedPerm, ...] | None
@@ -64,6 +66,16 @@ class HolonomyResult:
         """Each loop as a self-map of the base's vertices."""
         verts = self.base_vertices
         return tuple(dict(zip(verts, _mul(p.images, verts))) for p in self.generators)
+
+    @cached_property
+    def group(self) -> PermGroup | GiantGroup:
+        """Built on first use.  Loops that move the most points go first:
+        they generate most of the group at once, so the chain keeps fewer
+        loops and sifts the rest to the identity."""
+        degree = len(self.base_vertices)
+        by_moved = sorted(self.generators, reverse=True,
+                          key=lambda p: sum(i != x for i, x in enumerate(p.images)))
+        return jordan_giant(by_moved, degree) or schreier_sims(by_moved, degree=degree)
 
     @property
     def order(self) -> int:
@@ -121,11 +133,11 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
              require_connected: bool = True) -> HolonomyResult:
     """Holonomy group at a base object of a groupoid.
 
-    The group is a ``GiantGroup`` when :func:`permgroup.jordan_giant`
-    certifies the loops as the symmetric or alternating group; its
-    ``generators`` are then the standard pair.  Otherwise it is the
-    stabilizer chain of the loops.  ``HolonomyResult.generators`` lists
-    every loop either way.
+    The group (``HolonomyResult.group``, built on first use) is a
+    ``GiantGroup`` when :func:`permgroup.jordan_giant` certifies the loops
+    as the symmetric or alternating group; its ``generators`` are then the
+    standard pair.  Otherwise it is the stabilizer chain of the loops.
+    ``HolonomyResult.generators`` lists every loop either way.
 
     With ``require_connected`` unset, a disconnected dual graph yields
     the holonomy of the base's component.
@@ -140,15 +152,7 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), _inv(to_base[j]))
              for i, j, rid in g.dual.edges if i in to_base and (i, j, rid) not in tree]
     perms = {loop: Perm(loop) for loop in loops}    # loops repeat: one Perm each
-    gens = [perms[loop] for loop in loops]
-
     degree = len(g.object_vertices[base])
-    # Loops that move the most points go first: they generate most of the
-    # group at once, so the chain keeps fewer loops and sifts the rest to
-    # the identity.
-    by_moved = sorted(gens, key=lambda p: sum(i != x for i, x in enumerate(p.images)), reverse=True)
-    group = jordan_giant(by_moved, degree) or schreier_sims(by_moved, degree=degree)
-
     signed = None
     outer = math.factorial(degree)
     if g.corner_maps is not None:
@@ -162,8 +166,7 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
         outer = (1 << k) * math.factorial(k)
     return HolonomyResult(
         base=base,
-        generators=tuple(gens),
-        group=group,
+        generators=tuple(perms[loop] for loop in loops),
         tree_edges=tuple(sorted(tree)),
         base_vertices=g.object_vertices[base],
         signed_generators=signed,

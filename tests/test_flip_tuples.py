@@ -215,7 +215,8 @@ def _connections():
     out += [("rotation-c7", rotation_connection(cycle_graph(7))), ("cycle5", cycle_connection(5))]
     for path in sorted((TESTS / "connections").glob("*.json")):
         out.append((path.stem, parse_connection(load_json(path))))
-    out.append(("bundled-k4", parse_connection(load_json(bundled_dir() / "k4-rotation-connection.json"))))
+    bundled = bundled_dir() / "k4-rotation-connection.json"
+    out.append(("bundled-k4", parse_connection(load_json(bundled))))
     return out
 
 
