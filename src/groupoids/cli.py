@@ -19,7 +19,7 @@ from .complexes import ComplexError, CubicalComplex
 from .corpus import bundled_dir, random_corpus
 from .games import BoardMismatch, DegenerateBoard, grid_puzzle, puzzle_holonomy, reachable
 from .groupoid import Groupoid
-from .holonomy import NoSuchObject, NotConnected, holonomy, holonomy_group
+from .holonomy import NoSuchObject, NotConnected, holonomy
 from .homcx import (
     HOM_BUDGET,
     TooLarge,
@@ -42,7 +42,6 @@ from .serialize import (
     parse_complex,
     parse_connection,
     parse_state,
-    perm_to_list,
 )
 
 INPUT_ERROR_TYPES = (ParseError, ComplexError, NotConnected, NoSuchObject,

@@ -143,30 +143,31 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     the holonomy of the base's component.
     """
     if not 0 <= base < g.object_count:
-        raise NoSuchObject(
-            f"base {base} is not an object; objects are 0..{g.object_count - 1}")
+        raise NoSuchObject(f"base {base} is not an object; objects are 0..{g.object_count - 1}")
     tree, to_base = spanning_tree(g, base, rng)
     if require_connected and len(to_base) != g.object_count:
         raise NotConnected(
             f"dual graph reaches {len(to_base)} of {g.object_count} objects from base")
     loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), _inv(to_base[j]))
              for i, j, rid in g.dual.edges if i in to_base and (i, j, rid) not in tree]
-    perms = {loop: Perm(loop) for loop in loops}    # loops repeat: one Perm each
+    # most loops of a complex repeat: one Perm and one symmetry check per distinct loop
+    perms = {loop: Perm(loop) for loop in loops}
     degree = len(g.object_vertices[base])
-    signed = None
-    outer = math.factorial(degree)
+    signed, outer = None, math.factorial(degree)
     if g.corner_maps is not None:
         # corner x of the base cube is slot slots[x]; slot s is corner order[s]
         order = tuple(sorted(range(degree), key=g.corner_maps[base].__getitem__))
         slots = _inv(order)
-        signed_of = {loop: SignedPerm(Perm(perm), signs) for loop in perms for perm, signs
-                     in [_cube_symmetry(_mul(_mul(slots, loop), order))]}
-        signed = tuple(signed_of[loop] for loop in loops)
+        signed_of = {}
+        for loop in perms:
+            perm, signs = _cube_symmetry(_mul(_mul(slots, loop), order))
+            signed_of[loop] = SignedPerm(Perm(perm), signs)
+        signed = tuple(map(signed_of.__getitem__, loops))
         k = (degree - 1).bit_length()
         outer = (1 << k) * math.factorial(k)
     return HolonomyResult(
         base=base,
-        generators=tuple(perms[loop] for loop in loops),
+        generators=tuple(map(perms.__getitem__, loops)),
         tree_edges=tuple(sorted(tree)),
         base_vertices=g.object_vertices[base],
         signed_generators=signed,
