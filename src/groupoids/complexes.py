@@ -222,6 +222,34 @@ def _face_template(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _faces_of_dim(k: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Corner indices of every r-dimensional face of the k-cube."""
+    return tuple(idxs for free, idxs in _face_template(k) if len(free) == r)
+
+
+def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The signed permutation (perm, signs) whose action on flat corner
+    indices is ``addr``, or ValueError when there is none.  Unit corner
+    1 << i must land one bit away from ``addr[0]``, at bit perm[i], with
+    sign -1 when ``addr[0]`` has that bit; the map is then affine exactly
+    when every corner x has addr[x] == addr[x & (x-1)] ^ addr[x & -x] ^ addr[0].
+    """
+    c = addr[0]
+    perm, signs, seen = [], [], 0
+    for i in range(len(addr).bit_length() - 1):
+        moved = addr[1 << i] ^ c
+        if moved.bit_count() != 1 or moved & seen:
+            raise ValueError("corner bijection is not induced by a cube symmetry")
+        seen |= moved
+        perm.append(moved.bit_length() - 1)
+        signs.append(-1 if c & moved else 1)
+    for x in range(3, len(addr)):
+        if addr[x] != addr[x & (x - 1)] ^ addr[x & -x] ^ c:
+            raise ValueError("corner bijection is not induced by a cube symmetry")
+    return tuple(perm), tuple(signs)
+
+
 @dataclass(frozen=True)
 class CubicalComplex:
     """A pure cubical complex: each top cell is a corner-address map."""
@@ -237,7 +265,8 @@ class CubicalComplex:
     @cached_property
     def cube_face_lists(self) -> tuple[tuple, ...]:
         """Per cube, (free_coords, vertex frozenset) for every face, read
-        off the shared face template of its dimension."""
+        off the shared face template of its dimension.  Built on first
+        use; validation, the dual graph and the skeleton never need it."""
         template = _face_template(self.dim)
         return tuple(
             tuple((free, frozenset([c[i] for i in idxs])) for free, idxs in template)
@@ -253,8 +282,8 @@ class CubicalComplex:
 
     @cached_property
     def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
-        edges = {fs for fs, d in self.faces.items() if d == 1}
-        return tuple(sorted(tuple(sorted(e)) for e in edges))
+        edges = _faces_of_dim(self.dim, 1)
+        return tuple(sorted({tuple(sorted((c[a], c[b]))) for c in self.cubes for a, b in edges}))
 
     @cached_property
     def dual(self) -> DualMultigraph:
@@ -268,10 +297,13 @@ def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
     Corner keys may be bit tuples or binary strings ("01" means
     coordinate 0 is 0 and coordinate 1 is 1); vertex ids must be ints
     (not bools).  Every cell must meet every face of the complex in one
-    of its own faces (see `_check_semilattice`); this is a deliberately
-    stronger, checkable stand-in for the semilattice condition, standard
-    for regular CW complexes.  Validation costs time linear in the
-    number of cubes for bounded vertex degree and cube dimension.
+    of its own faces, checked as: any two cells that share a vertex meet
+    in one common face with the same face structure on both sides (see
+    `_check_semilattice`).  This is a deliberately stronger, checkable
+    stand-in for the semilattice condition, standard for regular CW
+    complexes.  Validation costs O(2^k) per pair of cubes that share a
+    vertex, so it is linear in the number of cubes for bounded vertex
+    degree and cube dimension; the 3^k faces of each cube are not listed.
     """
     normalized: list[tuple[int, ...]] = []
     k = None
@@ -308,36 +340,70 @@ def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
     if len(set(vertex_sets)) != len(vertex_sets):
         raise SemilatticeViolation("two cells share all their vertices")
 
+    _face_template(k)  # count-checks the k-cube's face lattice, once per k
     complex_ = CubicalComplex(vertex_count=n, dim=k, cubes=tuple(normalized))
     _check_semilattice(complex_)
     return complex_
 
 
 def _check_semilattice(K: CubicalComplex) -> None:
-    """Each cell must meet each face of the complex in one of its own faces.
+    """Any two cells that share a vertex must meet in one common face,
+    with the same face structure on both sides.
 
-    Only faces that share a vertex with the cell are paired with it, so
-    the check is linear in the number of cells for bounded vertex degree.
-    It is equivalent to the pairwise rule that any two faces a and b
-    meet in a face of every cell owning a or b: taking a to be the whole
-    cell gives this check, and conversely a & b = a & (cell & b) for a
-    cell owning a, where two faces of one cube meet in a face.  The check
-    runs over every derived face of every cube so that two cells sharing
-    a vertex set also agree on its internal face structure.
+    A vertex -> cubes index visits each pair of cubes C, D that share a
+    vertex once.  Their shared vertices, as corner index pairs (x in C,
+    y in D), must fill a subcube on each side: as many pairs as
+    2^(number of bits that vary among the x), and likewise among the y.
+    The map x -> y between the two subcubes must be a cube isomorphism
+    (`_cube_symmetry` on the corners' indices within the face).  That costs O(2^k)
+    per pair of cubes that share a vertex.
+
+    This is the rule that each cell meets each face of the complex in
+    one of its own faces.  Taking the face to be a whole cube D, C & D
+    is a face of C and, symmetrically, of D.  The faces of D inside
+    C & D must then be faces of C, so the bijection sends edges to edges
+    and is an automorphism of the hypercube graph, that is a signed
+    permutation.  Conversely, for a face b of D, b & C = b & (C & D) is
+    empty or, as the meet of two faces of D, a face of D inside the
+    shared face, which the isomorphism makes a face of C.
     """
-    facesets = [frozenset(verts for _, verts in flist) for flist in K.cube_face_lists]
-    faces_at: dict[int, list[frozenset]] = {}
-    for verts in set().union(*facesets):
-        for v in verts:
-            faces_at.setdefault(v, []).append(verts)
-    for corners, fset in zip(K.cubes, facesets):
-        cell = frozenset(corners)
-        for v in corners:
-            for b in faces_at[v]:
-                if b not in fset and (cell & b) not in fset:
-                    raise SemilatticeViolation(
-                        f"cells {sorted(cell)} and {sorted(b)} meet in "
-                        f"{sorted(cell & b)}, which is not a common face")
+    at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (earlier cube, corner index)
+    for c, corners in enumerate(K.cubes):
+        meets: dict[int, list[tuple[int, int]]] = {}
+        for x, v in enumerate(corners):
+            for d, y in at.get(v, ()):
+                meets.setdefault(d, []).append((x, y))
+            at.setdefault(v, []).append((c, x))
+        for d, pairs in meets.items():
+            if not _meet_is_common_face(pairs):
+                raise SemilatticeViolation(
+                    f"cells {sorted(K.cubes[d])} and {sorted(corners)} meet in "
+                    f"{sorted(corners[x] for x, _ in pairs)}, which is not a common face")
+
+
+def _meet_is_common_face(pairs: list[tuple[int, int]]) -> bool:
+    """Do the corner index pairs (x, y) of two cubes' shared vertices
+    fill a subcube of each cube, matched by a cube isomorphism?"""
+    ox = oy = 0
+    ax = ay = -1
+    for x, y in pairs:
+        ox, ax, oy, ay = ox | x, ax & x, oy | y, ay & y
+    # the bits that vary among a face's corners are its free coordinates
+    fx, fy = ox ^ ax, oy ^ ay
+    n = len(pairs)
+    if n != 1 << fx.bit_count() or n != 1 << fy.bit_count():
+        return False
+    if n <= 2:  # any bijection of a vertex or an edge is a cube isomorphism
+        return True
+    # dropping a face's fixed bits keeps its corners in order, so a
+    # corner's index within the face is its rank among the face's corners
+    rank = {y: i for i, y in enumerate(sorted(y for _, y in pairs))}
+    addr = [rank[y] for _, y in sorted(pairs)]
+    try:
+        _cube_symmetry(addr)
+    except ValueError:
+        return False
+    return True
 
 
 def _check_cube_poset_counts(template, k: int) -> None:
@@ -423,10 +489,8 @@ def _facet_ridges(K: SimplicialComplex | CubicalComplex) -> list[list[frozenset]
     """Per facet, its codimension-1 faces."""
     if isinstance(K, SimplicialComplex):
         return [[frozenset(f) - {v} for v in f] for f in K.facets]
-    out = []
-    for flist in K.cube_face_lists:
-        out.append([verts for free, verts in flist if len(free) == K.dim - 1])
-    return out
+    ridges = _faces_of_dim(K.dim, K.dim - 1)
+    return [[frozenset([c[i] for i in idxs]) for idxs in ridges] for c in K.cubes]
 
 
 def facet_adjacency(K: SimplicialComplex | CubicalComplex) -> DualMultigraph:

@@ -27,6 +27,7 @@ from .complexes import (
     CubicalComplex,
     DualMultigraph,
     SimplicialComplex,
+    _cube_symmetry,
     facet_adjacency,
 )
 from .permgroup import Perm, SignedPerm, _inv, _mul
@@ -179,28 +180,6 @@ def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[
         addr[x ^ axis_i] = y ^ axis_j
     _cube_symmetry(addr)
     return addr
-
-
-def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The signed permutation (perm, signs) whose action on flat corner
-    indices is ``addr``, or ValueError when there is none.  Unit corner
-    1 << i must land one bit away from ``addr[0]``, at bit perm[i], with
-    sign -1 when ``addr[0]`` has that bit; the map is then affine exactly
-    when every corner x has addr[x] == addr[x & (x-1)] ^ addr[x & -x] ^ addr[0].
-    """
-    c = addr[0]
-    perm, signs, seen = [], [], 0
-    for i in range(len(addr).bit_length() - 1):
-        moved = addr[1 << i] ^ c
-        if moved.bit_count() != 1 or moved & seen:
-            raise ValueError("corner bijection is not induced by a cube symmetry")
-        seen |= moved
-        perm.append(moved.bit_length() - 1)
-        signs.append(-1 if c & moved else 1)
-    for x in range(3, len(addr)):
-        if addr[x] != addr[x & (x - 1)] ^ addr[x & -x] ^ c:
-            raise ValueError("corner bijection is not induced by a cube symmetry")
-    return tuple(perm), tuple(signs)
 
 
 def corner_map_signed(source_corners: tuple[int, ...], target_corners: tuple[int, ...],

@@ -13,6 +13,7 @@ tuples (``permgroup._mul``) and no vertex map is built on the way.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -22,10 +23,11 @@ from .complexes import (
     CubicalComplex,
     SimplicialComplex,
     VertexMap,
+    _cube_symmetry,
     check_nondegenerate,
     facet_adjacency,
 )
-from .groupoid import Groupoid, _cube_symmetry
+from .groupoid import Groupoid
 from .permgroup import (
     GiantGroup,
     Perm,
@@ -74,7 +76,7 @@ class HolonomyResult:
         loops and sifts the rest to the identity."""
         degree = len(self.base_vertices)
         by_moved = sorted(self.generators, reverse=True,
-                          key=lambda p: sum(i != x for i, x in enumerate(p.images)))
+                          key=lambda p: sum(map(operator.ne, p.images, range(degree))))
         return jordan_giant(by_moved, degree) or schreier_sims(by_moved, degree=degree)
 
     @property

@@ -154,6 +154,24 @@ def test_invalid_complex_is_input_error(tmp_path, capsys):
     assert main(["holonomy", str(bad)]) == 2
 
 
+def test_rejected_cube_pair_names_both_cells(tmp_path, capsys):
+    # two stacked 3-cubes whose shared square has two corners swapped
+    first = {f"{i & 1}{i >> 1 & 1}{i >> 2}": i for i in range(8)}
+    second = {f"{i & 1}{i >> 1 & 1}{i >> 2}": 4 + i for i in range(8)}
+    second["010"], second["110"] = 7, 6
+    bad = tmp_path / "twisted.json"
+    bad.write_text(json.dumps({"kind": "cubical", "dim": 3, "cubes": [first, second]}))
+    code = main(["holonomy", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    for part in ("[0, 1, 2, 3, 4, 5, 6, 7]", "[4, 5, 6, 7, 8, 9, 10, 11]", "[4, 5, 6, 7]"):
+        assert part in captured.err
+
+
 @pytest.mark.parametrize("obj,bad", [
     ({"kind": "cubical", "dim": 1, "cubes": [{"0": 0, "1": True}]}, "True"),
     ({"kind": "cubical", "dim": 1, "cubes": [{"0": 0, "1": 1.7}]}, "1.7"),

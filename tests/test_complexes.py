@@ -38,9 +38,13 @@ from groupoids.corpus import (
 from groupoids.cli import main
 from groupoids.games import grid_puzzle, ordered_state
 from groupoids.graphconn import rotation_connection
+from groupoids.groupoid import Groupoid
+from groupoids.holonomy import holonomy
 from groupoids.homcx import complete_graph, cycle_graph
+from groupoids.invariants import compare_invariants
 from groupoids.serialize import (
     ParseError,
+    complex_to_dict,
     connection_to_dict,
     load_complex,
     parse_complex,
@@ -50,6 +54,11 @@ from groupoids.serialize import (
 )
 
 TEST_COMPLEXES = Path(__file__).resolve().parent / "complexes"
+
+
+def _scrambled_fixtures():
+    """The cubical fixtures whose cells are relabelled by cube symmetries."""
+    return [load_complex(path) for path in sorted(TEST_COMPLEXES.glob("*-scrambled.json"))]
 
 
 def test_build_simplicial_examples():
@@ -341,10 +350,12 @@ def test_semilattice_check_matches_pairwise_rule():
     bases += [cube_grid_patch(w, h, 1)[0] for w, h in ((2, 1), (2, 2))]
     bases += [cube_skeleton(d, k)[0] for d, k in ((3, 1), (3, 2), (4, 2), (4, 3))]
     bases += [strip_complex(n, t) for n in (3, 4, 5) for t in (False, True)]
+    # shared faces matched by non-trivial cube symmetries, up to k = 4
+    bases += [cube_skeleton(5, 4)[0]] + _scrambled_fixtures()
     verdicts = {}
     for K in bases:
         assert _old_cubical_verdict(K.cubes, K.dim) is None
-        for _ in range(90):
+        for _ in range(90 if K.dim < 4 else 40):
             cubes = _mutate(rng, K.cubes)
             old = _old_cubical_verdict(cubes, K.dim)
             assert _new_cubical_verdict(cubes, K.dim) == old, cubes
@@ -352,6 +363,69 @@ def test_semilattice_check_matches_pairwise_rule():
     # the mutations reach every rejection as well as valid complexes
     assert set(verdicts) == {None, CornerCollision, SemilatticeViolation}
     assert verdicts[SemilatticeViolation] >= 400
+
+
+def _stacked_cubes(k):
+    """Two k-cubes sharing the face where the first has bit k-1 set and
+    the second has it clear, as corner tuples."""
+    half = 1 << (k - 1)
+    return [tuple(range(2 * half)), tuple(range(half, 3 * half))]
+
+
+def _twisted_shared_face(k, i, j):
+    """The stack with corners i and j of the shared face swapped in the
+    second cube: the face keeps its vertex set, but its edges disagree."""
+    first, second = _stacked_cubes(k)
+    second = list(second)
+    second[i], second[j] = second[j], second[i]
+    return [first, tuple(second)]
+
+
+def _opposite_corners_only(k):
+    """A second k-cube meeting the first only in corners 0 and 3, the
+    opposite corners of a square face of both."""
+    n = 1 << k
+    fresh = iter(range(n, 2 * n - 2))
+    return [tuple(range(n)), tuple(i if i in (0, 3) else next(fresh) for i in range(n))]
+
+
+@pytest.mark.parametrize("k,cubes", [
+    (3, _twisted_shared_face(3, 2, 3)),
+    (4, _twisted_shared_face(4, 2, 3)),
+    # the unit corners still match; corner 3 breaks affinity
+    (4, _twisted_shared_face(4, 3, 5)),
+    (3, _opposite_corners_only(3)),
+    (4, _opposite_corners_only(4)),
+], ids=["twisted-k3", "twisted-k4", "non-affine-k4", "opposite-corners-k3",
+        "opposite-corners-k4"])
+def test_cubical_face_structure_consistency_enforced_twins(k, cubes):
+    assert _new_cubical_verdict(_stacked_cubes(k), k) is None
+    assert _old_cubical_verdict(cubes, k) is SemilatticeViolation
+    assert _new_cubical_verdict(cubes, k) is SemilatticeViolation
+
+
+def _face_guard_complexes():
+    return [item.complex for item in random_corpus(13, 200)] + _scrambled_fixtures()
+
+
+def test_build_flips_holonomy_and_invariants_never_list_all_faces():
+    for K in _face_guard_complexes():
+        K = build_cubical(complex_to_dict(K)["cubes"])
+        g = Groupoid.from_complex(K)
+        assert not {"cube_face_lists", "faces"} & K.__dict__.keys()
+        holonomy(g, 0, require_connected=False)
+        compare_invariants(K)
+        assert not {"cube_face_lists", "faces"} & K.__dict__.keys()
+
+
+def test_ridges_and_edges_match_the_face_lists():
+    for K in _face_guard_complexes():
+        edges, ridges = K.skeleton_edges, facet_adjacency(K).ridges
+        by_dim = {}
+        for fs, d in K.faces.items():
+            by_dim.setdefault(d, []).append(tuple(sorted(fs)))
+        assert edges == tuple(sorted(by_dim[1]))
+        assert ridges == tuple(sorted(by_dim[K.dim - 1]))
 
 
 def _old_build_simplicial(facets):
