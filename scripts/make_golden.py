@@ -6,7 +6,11 @@ and 1 on every bundled corpus file, ``connection`` at ``--base`` 0 and 1
 on the seeded random connections in ``tests/connections/``,
 ``holonomy`` at ``--base`` 0 and 1 and ``invariants`` on the scrambled
 cubical complexes in ``tests/complexes/``, ``puzzle holonomy`` on a few
-grid boards at holes 0, 1 and 3, three bases out of range, and ``hom``:
+grid boards at holes 0, 1 and 3, ``puzzle reach`` between the states
+in ``tests/states/`` and the bundled 15-puzzle pair (reachable and
+unreachable pairs on the 1x5, 2x2, 2x3, 3x3 and 4x4 boards, most with
+different holes, plus a label and a board mismatch), three bases out of
+range, and ``hom``:
 the edge K2 into K1 to K9 with every report, a few other graph pairs
 with ``fvector,euler``, and three bad inputs (a free action over a
 non-edge, an unknown report item, and a complex over the enumeration
@@ -41,6 +45,16 @@ COMPLEXES = ("tests/complexes/skel4-3-scrambled.json",
              "tests/complexes/cubes2x2x2-scrambled.json")
 BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5", "5x5", "6x6", "3x7")
 HOLES = (0, 1, 3)
+# (board, from, to) for ``puzzle reach``; a bare name is tests/states/<name>-state.json
+REACH = (("1x5", "1x5-hole0", "1x5-hole4"), ("1x5", "1x5-hole0", "1x5-swapped"),
+         ("2x2", "2x2-ordered", "2x2-walked"), ("2x2", "2x2-ordered", "2x2-swapped"),
+         ("2x2", "2x2-walked", "2x2-swapped"),
+         ("2x3", "2x3-ordered", "2x3-walked"), ("2x3", "2x3-walked", "2x3-swapped"),
+         ("3x3", "3x3-ordered", "3x3-walked"), ("3x3", "3x3-ordered", "3x3-swapped"),
+         ("4x4", "corpus/fifteen-ordered-state.json", "corpus/fifteen-swapped-state.json"),
+         ("4x4", "corpus/fifteen-ordered-state.json", "4x4-walked"),
+         ("4x4", "4x4-walked", "4x4-swapped"),
+         ("2x2", "2x2-ordered", "2x2-lettered"), ("2x2", "2x2-ordered", "1x5-hole0"))
 # (G, H) pairs for the f-vector and Euler characteristic reports
 HOM_PAIRS = (("c5", "k3"), ("c5", "k4"), ("p3", "k4"), ("k3", "k4"), ("c4", "c5"))
 
@@ -62,6 +76,10 @@ def cases() -> dict[str, list[list[str]]]:
     out["puzzle"] = [["puzzle", "holonomy", "--board", board, "--base", str(hole)]
                      for board in BOARDS for hole in HOLES]
     out["puzzle"].append(["puzzle", "holonomy", "--board", "2x2", "--base", "4"])
+    state = (lambda name: name if name.startswith("corpus/")
+             else f"tests/states/{name}-state.json")
+    out["puzzle"] += [["puzzle", "reach", "--board", board, "--from", state(a), "--to", state(b)]
+                      for board, a, b in REACH]
     out["holonomy"].append(["holonomy", "corpus/c3.json", "--base", "5"])
     out["connection"].append(["connection", "corpus/k4-rotation-connection.json", "--base", "9"])
     out["hom"] = [["hom", "--g", "k2", "--h", f"k{n}", "--report", "fvector,euler,free-action"]
