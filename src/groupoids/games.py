@@ -12,8 +12,16 @@ group*, J. Combin. Theory Ser. B 16, 1974) names that group for most
 boards: on a 2-connected board that is neither a cycle nor the
 seven-cell graph theta_0 it is S_{n-1}, or A_{n-1} when the board is
 bipartite.  ``puzzle_holonomy`` returns such a board's group as a
-``GiantGroup`` without building a chain, so membership is a parity
-check; every other board goes through ``holonomy.holonomy``.
+``GiantGroup`` without building a chain, and ``reachable`` answers on
+such a board from a parity certificate alone: every state is reachable
+under S_{n-1}, and under A_{n-1} the cell permutation, with the hole
+counted as a piece, must have the parity of the colour change of the
+hole (each move is one transposition and flips the hole's colour).
+Both read one verdict and 2-colouring per board (``Puzzle.wilson``).
+Every other board (cycles, theta_0, boards with a cut vertex, the 2x2
+board) goes through ``holonomy.holonomy``, and its reach queries carry
+the pieces along a hole path and test the residual permutation against
+the chain.
 
 Closed-tour convention: moving the hole one step swaps it with the
 piece next to it, so a hole tour around a closed walk shifts the pieces
@@ -33,7 +41,7 @@ from typing import Sequence
 from .complexes import bfs, tree_path
 from .groupoid import Groupoid, _exchange
 from .holonomy import holonomy
-from .permgroup import GiantGroup, Perm, PermGroup
+from .permgroup import GiantGroup, Perm, PermGroup, _parity
 
 
 class DegenerateBoard(ValueError):
@@ -80,6 +88,19 @@ class Puzzle:
     def neighbors(self, cell: int) -> tuple[int, ...]:
         return self.adjacency[cell]
 
+    @cached_property
+    def wilson(self) -> tuple[GiantGroup, tuple[int, ...] | None] | None:
+        """Wilson's verdict on the board, built once per board: None
+        where the theorem does not decide the group, else the group and,
+        for A_{n-1}, the cell colours of the board's 2-colouring (None
+        for S_{n-1}).  See :func:`wilson_group`."""
+        simple = [tuple(dict.fromkeys(ns)) for ns in self.adjacency]
+        if self.cell_count < 3 or self.cell_count == 7 \
+                or all(len(ns) == 2 for ns in simple) or _has_cut_vertex(simple):
+            return None
+        colours = _two_colouring(simple)
+        return GiantGroup(self.piece_count, alternating=colours is not None), colours
+
 
 def grid_puzzle(m: int, n: int) -> Puzzle:
     """The m x n sliding puzzle board, cells numbered row-major."""
@@ -121,11 +142,12 @@ class LabelledState:
     def validate(self, board: Puzzle) -> None:
         if not 0 <= self.hole < board.cell_count:
             raise BoardMismatch(f"no cell {self.hole}")
-        occupied = [c for _, c in self.placement]
-        if len(set(occupied)) != len(occupied):
+        occupied = {c for _, c in self.placement}
+        if len(occupied) != len(self.placement):
             raise BoardMismatch("two pieces share a cell")
-        want = set(range(board.cell_count)) - {self.hole}
-        if set(occupied) != want:
+        if len({p for p, _ in self.placement}) != len(self.placement):
+            raise BoardMismatch("two cells hold the same piece label")
+        if occupied != set(range(board.cell_count)) - {self.hole}:
             raise BoardMismatch("placement does not cover the non-hole cells")
 
 
@@ -202,12 +224,15 @@ def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:
     return root_children > 1
 
 
-def _bipartite(adjacency: Sequence[Sequence[int]]) -> bool:
-    """2-colouring of a connected graph by BFS depth parity."""
-    color: dict[int, int] = {}
+def _two_colouring(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """The colours of a connected graph's cells by BFS depth parity, or
+    None when some edge joins two cells of one colour (not bipartite)."""
+    colour = [0] * len(adjacency)
     for v, p in bfs(0, adjacency.__getitem__).items():
-        color[v] = 0 if p is None else 1 - color[p]
-    return all(color[u] != color[v] for u in color for v in adjacency[u])
+        colour[v] = 0 if p is None else 1 - colour[p]
+    if any(colour[u] == colour[v] for u, ns in enumerate(adjacency) for v in ns):
+        return None
+    return tuple(colour)
 
 
 def wilson_group(board: Puzzle) -> GiantGroup | None:
@@ -218,13 +243,10 @@ def wilson_group(board: Puzzle) -> GiantGroup | None:
     trivial tours) is 2-connected (at least three cells, no cut vertex)
     and not a cycle, except those with exactly seven cells: that
     excludes theta_0, whose group has order 120, without an isomorphism
-    test.  O(V + E).
+    test.  The group is A_{n-1} on a bipartite board, else S_{n-1}.
+    O(V + E), once per board (``Puzzle.wilson``).
     """
-    simple = [tuple(dict.fromkeys(ns)) for ns in board.adjacency]
-    if board.cell_count < 3 or board.cell_count == 7 \
-            or all(len(ns) == 2 for ns in simple) or _has_cut_vertex(simple):
-        return None
-    return GiantGroup(board.piece_count, alternating=_bipartite(simple))
+    return None if board.wilson is None else board.wilson[0]
 
 
 @lru_cache(maxsize=None)
@@ -255,14 +277,29 @@ def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup
 def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     """Can sliding moves turn state a into state b?
 
-    Transport a's pieces along any hole path to b's hole, then test the
-    residual piece permutation against the holonomy group.  Holonomy
-    quotients away the path choice, so any path gives the same answer.
+    On a board that Wilson's theorem decides (:func:`wilson_group`) the
+    answer is a certificate: always yes under S_{n-1}; under A_{n-1},
+    yes exactly when the cell permutation that sends a's cell of each
+    piece to b's cell of it, and a's hole to b's hole, has the parity of
+    the two holes' colour change.  Every other board transports a's
+    pieces along a hole path to b's hole and tests the residual piece
+    permutation against the holonomy group's chain.  Holonomy quotients
+    away the path choice, so any path gives the same answer.
     """
     a.validate(board)
     b.validate(board)
     if {p for p, _ in a.placement} != {p for p, _ in b.placement}:
         raise BoardMismatch("states use different piece labels")
+    if board.wilson is not None:
+        colours = board.wilson[1]
+        if colours is None:
+            return True
+        # placements are sorted by label, so the pairs line up piece by piece
+        images = [0] * board.cell_count
+        images[a.hole] = b.hole
+        for (_, here), (_, there) in zip(a.placement, b.placement):
+            images[here] = there
+        return _parity(images) == colours[a.hole] ^ colours[b.hole]
     occ_a = {c: p for p, c in a.placement}
     path = tree_path(bfs(a.hole, board.adjacency.__getitem__), b.hole)
     occ_a = _apply_hole_path(board, occ_a, path)

@@ -19,7 +19,8 @@ from itertools import combinations
 from operator import and_
 from typing import Callable, Iterable, Sequence
 
-HOM_BUDGET = 10 ** 7
+HOM_BUDGET = 10 ** 7          # candidate supports, (2^|H| - 1)^|G|
+HOM_CELL_BUDGET = 10 ** 6     # cells kept, at about 130 bytes each
 
 
 class TooLarge(RuntimeError):
@@ -154,7 +155,11 @@ def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, 
     in increasing order, of the common neighborhood of the already
     assigned neighbors; cells come out in lexicographic mask order, so
     ids are reproducible.  The walk keeps its own stack, ``masks``, so G
-    may be deeper than the interpreter's recursion limit.
+    may be deeper than the interpreter's recursion limit.  ``budget``
+    refuses G and H by their candidate count before the walk, and
+    ``HOM_CELL_BUDGET`` refuses a complex with more cells than that:
+    each batch of cells that share all but the last mask is counted
+    before it is built.
     """
     n, full = G.vertex_count, (1 << H.vertex_count) - 1
     check_budget(n, H.vertex_count, budget)
@@ -175,6 +180,8 @@ def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, 
             continue
         # i is the last vertex or has no submask left: close the cells, back up
         prefix, a = tuple(masks[:i]), allowed[i]
+        if sub and len(cells) + (1 << a.bit_count()) - 1 > HOM_CELL_BUDGET:
+            raise TooLarge(f"the complex has more than {HOM_CELL_BUDGET} cells")
         while sub:
             cells.append(HomCell._of(prefix + (sub,)))
             sub = (sub - a) & a

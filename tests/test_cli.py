@@ -282,6 +282,8 @@ def test_corpus_dir_override(tmp_path, monkeypatch, capsys):
     ("k99999999999999999999", "k1", "a graph on 99999999999999999999 vertices exceeds the "
                                     "enumeration budget"),
     ("p0", "k5000", "a graph on 5000 vertices exceeds the enumeration budget"),
+    # inside the candidate budget, but 2^23 - 1 cells
+    ("k1", "k23", "the complex has more than 1000000 cells"),
 ])
 def test_oversized_graph_fails_fast(capsys, g, h, message):
     started = time.monotonic()

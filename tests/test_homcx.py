@@ -1,5 +1,6 @@
 import pytest
 
+from groupoids import homcx
 from groupoids.homcx import (
     EdgeNotInGraph,
     Graph,
@@ -165,6 +166,23 @@ def test_guards():
         hom_complex(complete_graph(8), complete_graph(8))
     with pytest.raises(TooLarge):
         graph_hom_exists(Graph(25, ()), 2)
+
+
+def test_cell_budget_counts_the_cells_kept(monkeypatch):
+    # K1 into K3 is one batch of seven cells; two free vertices into K3
+    # are seven batches of seven
+    for G, cells in ((complete_graph(1), 7), (Graph(2, ()), 49)):
+        monkeypatch.setattr(homcx, "HOM_CELL_BUDGET", cells)
+        assert len(hom_complex(G, complete_graph(3))) == cells
+        monkeypatch.setattr(homcx, "HOM_CELL_BUDGET", cells - 1)
+        with pytest.raises(TooLarge, match=f"more than {cells - 1} cells"):
+            hom_complex(G, complete_graph(3))
+
+
+def test_default_cell_budget_refuses_before_building():
+    # 2^23 - 1 cells in one batch, inside the candidate budget
+    with pytest.raises(TooLarge, match="more than 1000000 cells"):
+        hom_complex(complete_graph(1), complete_graph(23))
 
 
 def test_deep_graph_needs_no_recursion():
