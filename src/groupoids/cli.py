@@ -39,6 +39,7 @@ from .serialize import (
     holonomy_to_dict,
     load_complex,
     load_json,
+    order_text,
     parse_complex,
     parse_connection,
     parse_state,
@@ -129,7 +130,7 @@ def cmd_puzzle(args) -> int:
     results = {
         "board": args.board,
         "base_hole": args.base,
-        "order": str(group.order),
+        "order": order_text(group.order),
         "tag": recognize(group),
     }
     report = {"command": "puzzle holonomy", "input": None, "results": results}
@@ -169,7 +170,7 @@ def cmd_connection(args) -> int:
     try:
         group = connection_holonomy(c, args.base)
         results: dict = {"valid": True, "witness": None,
-                         "order": str(group.order), "tag": recognize(group)}
+                         "order": order_text(group.order), "tag": recognize(group)}
     except InvalidTable as e:
         results = {"valid": False, "witness": str(e)}
     report = {"command": "connection", "input": _digest(args.input), "results": results}

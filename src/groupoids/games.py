@@ -36,11 +36,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .complexes import bfs, tree_path
 from .groupoid import Groupoid, _exchange
-from .holonomy import holonomy
+from .holonomy import holonomy, spanning_tree
 from .permgroup import GiantGroup, Perm, PermGroup, _parity
 
 
@@ -140,14 +141,17 @@ class LabelledState:
             _shared_pair((str(k), int(v))) for k, v in placement.items()))
 
     def validate(self, board: Puzzle) -> None:
-        if not 0 <= self.hole < board.cell_count:
+        n, count = board.cell_count, len(self.placement)
+        if not 0 <= self.hole < n:
             raise BoardMismatch(f"no cell {self.hole}")
-        occupied = {c for _, c in self.placement}
-        if len(occupied) != len(self.placement):
+        occupied = set(map(itemgetter(1), self.placement))
+        if len(occupied) != count:
             raise BoardMismatch("two pieces share a cell")
-        if len({p for p, _ in self.placement}) != len(self.placement):
+        if len(set(map(itemgetter(0), self.placement))) != count:
             raise BoardMismatch("two cells hold the same piece label")
-        if occupied != set(range(board.cell_count)) - {self.hole}:
+        occupied.add(self.hole)
+        # n - 1 pieces and the hole on n distinct cells that include 0..n-1
+        if count != n - 1 or len(occupied) != n or not occupied.issuperset(range(n)):
             raise BoardMismatch("placement does not cover the non-hole cells")
 
 
@@ -250,11 +254,22 @@ def wilson_group(board: Puzzle) -> GiantGroup | None:
 
 
 @lru_cache(maxsize=None)
+def _hole0_holonomy(board: Puzzle) -> tuple[PermGroup | GiantGroup, dict[int, tuple[int, ...]]]:
+    """The chain at hole 0 and the slot transports of the spanning tree
+    from hole 0 to every hole, built once per board."""
+    g = puzzle_groupoid(board)
+    _, transports = spanning_tree(g, 0)
+    return holonomy(g, 0).group, transports
+
+
+@lru_cache(maxsize=None)
 def _puzzle_holonomy_cached(board: Puzzle, base_hole: int) -> PermGroup | GiantGroup:
     wilson = wilson_group(board)
     if wilson is not None:
         return wilson
-    return holonomy(puzzle_groupoid(board), base_hole).group
+    group, transports = _hole0_holonomy(board)
+    # vertex groups of a connected groupoid are conjugate along any path
+    return group if base_hole == 0 else group.conjugate(transports[base_hole])
 
 
 def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup:
@@ -264,10 +279,14 @@ def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup
     order.  On a board that Wilson's theorem decides (see
     :func:`wilson_group`) it is a ``GiantGroup``, and its ``generators``
     are the standard pair of S_{n-1} or A_{n-1}, not hole tours.  On any
-    other board it is the chain of the closed hole tours along the
-    fundamental cycles of the board graph, and its ``generators`` are
-    the tours that enlarged the group, those that move the most pieces
-    first.
+    other board one chain is built, at hole 0, from the closed hole
+    tours along the fundamental cycles of the board graph; its
+    ``generators`` are the tours that enlarged the group, those that
+    move the most pieces first.  Any other hole gets that chain
+    conjugated by the spanning tree's slot transport from hole 0
+    (:meth:`PermGroup.conjugate`), so its ``generators`` are the hole-0
+    tours carried to the hole: closed hole tours there, though not the
+    ones a chain built at that hole would keep.
     """
     if not 0 <= base_hole < board.cell_count:
         raise BoardMismatch(f"no cell {base_hole}")
@@ -288,13 +307,14 @@ def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     """
     a.validate(board)
     b.validate(board)
-    if {p for p, _ in a.placement} != {p for p, _ in b.placement}:
+    # validated placements are sorted by label with no label twice
+    if list(map(itemgetter(0), a.placement)) != list(map(itemgetter(0), b.placement)):
         raise BoardMismatch("states use different piece labels")
     if board.wilson is not None:
         colours = board.wilson[1]
         if colours is None:
             return True
-        # placements are sorted by label, so the pairs line up piece by piece
+        # the labels match in order, so the pairs line up piece by piece
         images = [0] * board.cell_count
         images[a.hole] = b.hole
         for (_, here), (_, there) in zip(a.placement, b.placement):

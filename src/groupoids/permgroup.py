@@ -284,11 +284,14 @@ class PermGroup:
     when :func:`schreier_sims` added them, in input order: a subset of
     the input that generates the same group, without duplicates, the
     identity or any generator already in the group of those before it.
+    A group made by :meth:`conjugate` holds the conjugates of those
+    generators instead, not a subset of any input.
 
-    Built once by :func:`schreier_sims`; afterwards every query is
-    read-only, so instances are safe to share between threads.  A group
-    known to be symmetric or alternating can be a :class:`GiantGroup`
-    instead, which answers the same queries without a chain.
+    Built once by :func:`schreier_sims` or :meth:`conjugate`; afterwards
+    every query is read-only, so instances are safe to share between
+    threads.  A group known to be symmetric or alternating can be a
+    :class:`GiantGroup` instead, which answers the same queries without
+    a chain.
     """
 
     degree: int
@@ -311,6 +314,22 @@ class PermGroup:
             raise DegreeMismatch(f"{p.degree} vs {self.degree}")
         residue, _ = _sift(self.chain, p.images)
         return all(i == x for i, x in enumerate(residue))
+
+    def conjugate(self, t: tuple[int, ...]) -> "PermGroup":
+        """The conjugate group t^-1 G t, whose elements are x -> t(g(t^-1(x)))
+        for g in G, with no new sifting.
+
+        Each base point beta becomes t(beta), and the inverse
+        representative stored for gamma becomes t^-1 u^-1 t, stored for
+        t(gamma); ``generators`` are conjugated alike.  O(sum of the
+        orbit sizes x degree)."""
+        t_inv = _inv(t)
+        return PermGroup(
+            degree=self.degree,
+            generators=tuple(Perm(_mul(_mul(t_inv, g.images), t)) for g in self.generators),
+            chain=tuple(_Level(t[level.beta], {t[gamma]: _mul(_mul(t_inv, u_inv), t)
+                                                for gamma, u_inv in level.inverses.items()})
+                        for level in self.chain))
 
 
 @dataclass(frozen=True)
@@ -354,6 +373,10 @@ class GiantGroup:
         if p.degree != self.degree:
             raise DegreeMismatch(f"{p.degree} vs {self.degree}")
         return not self.alternating or _parity(p.images) == 0
+
+    def conjugate(self, t: tuple[int, ...]) -> "GiantGroup":
+        """S_m and A_m are normal in S_m: every conjugate is the group itself."""
+        return self
 
 
 def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:

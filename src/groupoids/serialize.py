@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from pathlib import Path
 
 from .complexes import CubicalComplex, SimplicialComplex, build_cubical, build_simplicial
@@ -147,6 +148,14 @@ def connection_to_dict(c: GraphConnection) -> dict:
     }
 
 
+def order_text(n: int) -> str:
+    """The exact decimal digits of a group order.  ``str`` refuses ints
+    past the interpreter's digit limit (4,300 digits, reached by 1599!/2
+    on the 40x40 board); building a ``Decimal`` from an int is exact,
+    and its digits have no such limit."""
+    return str(Decimal(n))
+
+
 def perm_to_list(p: Perm) -> list[int]:
     return list(p.images)
 
@@ -158,10 +167,10 @@ def signed_perm_to_dict(s: SignedPerm) -> dict:
 def holonomy_to_dict(r: HolonomyResult) -> dict:
     out = {
         "base": r.base,
-        "order": str(r.order),
+        "order": order_text(r.order),
         "tag": r.tag,
         "generators": [perm_to_list(g) for g in r.generators],
-        "outer_order": str(r.outer_order),
+        "outer_order": order_text(r.outer_order),
     }
     if r.signed_generators is not None:
         out["signed_generators"] = [signed_perm_to_dict(s) for s in r.signed_generators]

@@ -1,5 +1,11 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +87,35 @@ def test_puzzle_holonomy_command(capsys):
                     "--board", "2x2")
     assert code == 0
     assert json.loads(out)["results"]["order"] == "3"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_puzzle_holonomy_order_past_the_int_digit_limit(capsys, fmt):
+    # 1599!/2 has 4,431 digits, past the 4,300 that str(int) allows
+    code, out = run(capsys, "--format", fmt, "puzzle", "holonomy", "--board", "40x40")
+    assert code == 0
+    if fmt == "json":
+        order = json.loads(out)["results"]["order"]
+    else:
+        order = out.split()[2]
+        assert out.startswith("holonomy order ") and "(alternating)" in out
+    assert len(order) == 4431 and order.isdigit()
+    assert int(Decimal(order)) == math.factorial(1599) // 2
+
+
+@pytest.mark.parametrize("argv,want", [(["puzzle", "holonomy", "--board", "3x3"], 0),
+                                       (["puzzle", "holonomy", "--board", "1x1"], 2)])
+def test_python_dash_m_passes_the_exit_code_on(argv, want):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "groupoids", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == want
+    if want == 0:
+        assert done.stdout == "holonomy order 20160 (alternating) at hole 0\n"
+    else:
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 def test_hom_command(capsys):

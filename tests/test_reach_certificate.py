@@ -209,6 +209,21 @@ def test_other_boards_keep_the_hole_path_and_the_chain(monkeypatch, puzzle):
     assert len(calls) == 5      # one hole path per query
 
 
+@pytest.mark.parametrize("hole,placement,message", [
+    (9, (("1", 1), ("2", 1), ("3", 2), ("4", 3), ("5", 4)), "no cell 9"),
+    (0, (("1", 1), ("1", 1), ("2", 3), ("3", 4), ("4", 5)), "two pieces share a cell"),
+    (0, (("1", 1), ("1", 2), ("2", 3), ("3", 4)), "same piece label"),
+    (0, (("1", 0), ("1", 1), ("2", 2), ("3", 3), ("4", 4)), "same piece label"),
+    (0, (("1", 0), ("2", 1), ("3", 2), ("4", 3), ("5", 4), ("6", 5)), "does not cover"),
+    (0, (("1", 1), ("2", 2), ("3", 3), ("4", 4), ("5", 9)), "does not cover"),
+    (0, (("1", 1), ("2", 2), ("3", 3), ("4", 4)), "does not cover"),
+], ids=["hole-and-shared-cell", "shared-cell-and-label", "label-and-short",
+        "label-and-hole-occupied", "hole-occupied", "off-board", "short"])
+def test_the_first_broken_rule_names_the_error(hole, placement, message):
+    with pytest.raises(BoardMismatch, match=message):
+        LabelledState(hole, placement).validate(grid_puzzle(2, 3))
+
+
 REPEATED = (("1", 1), ("1", 2), ("2", 3), ("3", 4), ("4", 5))
 SIX_CYCLE = puzzle_of(6, (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0))
 
