@@ -3,7 +3,8 @@
 Each case is one ``groupoids --format json`` call: ``holonomy`` at
 ``--base`` 0 and 1, ``invariants`` and ``connection`` at ``--base`` 0
 and 1 on every bundled corpus file, ``connection`` at ``--base`` 0 and 1
-on the seeded random connections in ``tests/connections/``,
+on the seeded random connections in ``tests/connections/``, ``connection``
+at ``--base`` 0 on one broken K4 rotation connection per witness there,
 ``holonomy`` at ``--base`` 0 and 1 and ``invariants`` on the scrambled
 cubical complexes in ``tests/complexes/``, ``puzzle holonomy`` on a few
 grid boards at holes 0, 1 and 3, ``puzzle reach`` between the states
@@ -39,6 +40,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # random connections on K10 and K14 whose holonomy is the symmetric group
 CONNECTIONS = ("tests/connections/k10-random-connection.json",
                "tests/connections/k14-random-connection.json")
+# the K4 rotation connection with one axiom broken, one file per witness
+BROKEN = tuple(f"tests/connections/k4-broken-{kind}-connection.json"
+               for kind in ("missing", "domain", "image", "crossing", "inverse"))
 # cubical complexes of dimension 3 and 4 with scrambled corner orders
 COMPLEXES = ("tests/complexes/skel4-3-scrambled.json",
              "tests/complexes/skel5-4-scrambled.json",
@@ -70,6 +74,7 @@ def cases() -> dict[str, list[list[str]]]:
             out["connection"].append(["connection", path, "--base", base])
     out["connection"] += [["connection", path, "--base", base]
                           for path in CONNECTIONS for base in ("0", "1")]
+    out["connection"] += [["connection", path, "--base", "0"] for path in BROKEN]
     for path in COMPLEXES:
         out["invariants"].append(["invariants", path])
         out["holonomy"] += [["holonomy", path, "--base", base] for base in ("0", "1")]

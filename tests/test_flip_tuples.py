@@ -213,7 +213,7 @@ def _boards():
 def _connections():
     out = [(f"rotation-k{n}", rotation_connection(complete_graph(n))) for n in (4, 5, 6)]
     out += [("rotation-c7", rotation_connection(cycle_graph(7))), ("cycle5", cycle_connection(5))]
-    for path in sorted((TESTS / "connections").glob("*.json")):
+    for path in sorted((TESTS / "connections").glob("*-random-connection.json")):
         out.append((path.stem, parse_connection(load_json(path))))
     bundled = bundled_dir() / "k4-rotation-connection.json"
     out.append(("bundled-k4", parse_connection(load_json(bundled))))

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +190,18 @@ def test_cli_validates_a_connection_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["--format", "json", "connection", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["order"] == "3"
     assert len(calls) == 1
+
+
+BROKEN_FILES = dict(zip(BROKEN, ("missing", "domain", "image", "crossing", "inverse")))
+
+
+@pytest.mark.parametrize("witness", BROKEN)
+def test_broken_connection_files_are_the_broken_edits(witness):
+    """The golden inputs tests/connections/k4-broken-<kind>-connection.json
+    are the edits of BROKEN applied to the K4 rotation connection."""
+    c = rotation_connection(complete_graph(4))
+    nabla = {k: dict(v) for k, v in c.nabla.items()}
+    BROKEN[witness](nabla)
+    path = (Path(__file__).parent / "connections"
+            / f"k4-broken-{BROKEN_FILES[witness]}-connection.json")
+    assert json.loads(path.read_text()) == connection_to_dict(GraphConnection(c.graph, nabla))
