@@ -8,9 +8,12 @@ the graph then acquire holonomy inside the permutations of a star,
 exactly parallel to the facet-flip picture; here the star plays the
 tangent space.
 
-``connection_groupoid`` builds the associated ``Groupoid``: objects are
-the vertices, morphisms the star bijections along edges.  Its holonomy
-comes from ``holonomy.holonomy``, the engine that serves complexes.
+``validate_connection`` checks the tables in one pass over the graph's
+edges and reads each valid table as a slot tuple on the way;
+``connection_groupoid`` builds the associated ``Groupoid`` from those
+tuples: objects are the vertices, morphisms the star bijections along
+edges.  Its holonomy comes from ``holonomy.holonomy``, the engine that
+serves complexes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 from .groupoid import Groupoid
 from .holonomy import NotConnected, holonomy
 from .homcx import Graph, cycle_graph
-from .permgroup import GiantGroup, PermGroup
+from .permgroup import GiantGroup, PermGroup, _mul
 
 
 class NotRegular(ValueError):
@@ -59,37 +62,58 @@ class GraphConnection:
 
 @dataclass(frozen=True)
 class ConnectionReport:
+    """The verdict of :func:`validate_connection`.  A valid connection
+    also carries its ``flips``: each oriented edge (x, y) mapped to its
+    table as a slot tuple, which sends slot s of the star of x (its s-th
+    edge in :func:`star` order) to slot ``flips[(x, y)][s]`` of the star
+    of y."""
     ok: bool
     witness: str | None = None
+    flips: dict[OrientedEdge, tuple[int, ...]] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def validate_connection(c: GraphConnection) -> ConnectionReport:
-    """Check both axioms and bijectivity on every oriented edge."""
-    _ = c.regularity  # raises NotRegular on irregular graphs
-    oriented = [(x, y) for x, y in c.graph.edges] + \
-               [(y, x) for x, y in c.graph.edges]
-    for e in oriented:
-        if e not in c.nabla:
+    """Check both axioms and bijectivity on every oriented edge, and read
+    each table as a slot tuple on the way.
+
+    The witness is the first failure in this order: a missing table,
+    over the edges (x, y) of ``graph.edges`` and then their reversals
+    (y, x); then, over the oriented edges in the same order, a table's
+    domain, its image, the crossing of the edge itself, and the inverse
+    of its reversal.  The checks run in one pass over ``graph.edges``:
+    once (x, y) passes, the table of (y, x) is the inverse on the whole
+    star of y, so it meets every axiom unless it has an extra key, and a
+    length test is all the reversed tables need.
+    """
+    d = c.regularity  # raises NotRegular on irregular graphs
+    nabla, edges = c.nabla, c.graph.edges
+    for e in [*edges, *((y, x) for x, y in edges)]:
+        if e not in nabla:
             return ConnectionReport(False, f"missing table for edge {e}")
-    stars = [{(x, w) for w in ws} for x, ws in enumerate(c.graph.adjacency)]
-    for x, y in oriented:
-        table = c.nabla[(x, y)]
-        if table.keys() != stars[x]:
+    stars = [star(c.graph, x) for x in range(c.graph.vertex_count)]
+    index = [dict(zip(edges_x, range(d))) for edges_x in stars]  # star edge -> its slot
+    identity, flips = tuple(range(d)), {}
+    for x, y in edges:
+        table = nabla[(x, y)]
+        # a missing key, a None value and a value off the star of y all read as None
+        t = tuple(map(index[y].get, map(table.get, stars[x])))
+        if len(table) != d or None in t and not all(map(table.__contains__, stars[x])):
             return ConnectionReport(False, f"table domain wrong at {(x, y)}")
-        if set(table.values()) != stars[y]:
+        if None in t or len(set(t)) != d:
             return ConnectionReport(False, f"table image wrong at {(x, y)}")
         if table[(x, y)] != (y, x):
-            return ConnectionReport(
-                False, f"edge {(x, y)} must cross to {(y, x)}")
-        back = c.nabla[(y, x)]
-        for src, dst in table.items():
-            if back.get(dst) != src:
-                return ConnectionReport(
-                    False, f"tables at {(x, y)} and {(y, x)} are not inverse")
-    return ConnectionReport(True)
+            return ConnectionReport(False, f"edge {(x, y)} must cross to {(y, x)}")
+        back = tuple(map(index[x].get, map(nabla[(y, x)].get, stars[y])))
+        if _mul(t, back) != identity:
+            return ConnectionReport(False, f"tables at {(x, y)} and {(y, x)} are not inverse")
+        flips[(x, y)], flips[(y, x)] = t, back
+    for x, y in edges:
+        if len(nabla[(y, x)]) != d:
+            return ConnectionReport(False, f"table domain wrong at {(y, x)}")
+    return ConnectionReport(True, flips=flips)
 
 
 def cycle_connection(n: int) -> GraphConnection:
@@ -120,16 +144,19 @@ def rotation_connection(graph: Graph) -> GraphConnection:
 
 
 def connection_groupoid(c: GraphConnection) -> Groupoid:
-    """The groupoid of a connection whose tables are already validated.
+    """The groupoid of a connection, built from the flips of its one
+    :func:`validate_connection` pass.
 
     Objects are vertices, the vertices of an object are its star, dual
-    edge ``rid`` is ``graph.edges[rid]``, and the flips are the tables,
-    read as slot tuples through one slot index of every star.
+    edge ``rid`` is ``graph.edges[rid]``, and the flip x -> y is the
+    table of (x, y) as a slot tuple.  Raises ``InvalidTable`` with the
+    witness when a table breaks an axiom.
     """
+    report = validate_connection(c)
+    if not report:
+        raise InvalidTable(report.witness)
     stars = tuple(star(c.graph, x) for x in range(c.graph.vertex_count))
-    slot = {e: s for edges in stars for s, e in enumerate(edges)}  # (x, w) -> its slot in star x
-    return Groupoid.on_graph(stars, c.graph.edges, lambda x, y: tuple(
-        [slot[e] for e in map(c.nabla[(x, y)].__getitem__, stars[x])]))
+    return Groupoid.on_graph(stars, c.graph.edges, lambda x, y: report.flips[(x, y)])
 
 
 def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup | GiantGroup:
@@ -142,13 +169,11 @@ def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup | GiantG
     loops.  Raises ``InvalidTable`` with the witness of
     :func:`validate_connection` when a table breaks an axiom.
     """
-    report = validate_connection(c)
-    if not report:
-        raise InvalidTable(report.witness)
+    g = connection_groupoid(c)
     n = c.graph.vertex_count
     if not 0 <= base < n:
         raise InvalidConnection(f"base {base} is not a vertex; vertices are 0..{n - 1}")
     try:
-        return holonomy(connection_groupoid(c), base).group
+        return holonomy(g, base).group
     except NotConnected:
         raise InvalidConnection("graph is not connected") from None

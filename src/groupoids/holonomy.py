@@ -150,8 +150,11 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     if require_connected and len(to_base) != g.object_count:
         raise NotConnected(
             f"dual graph reaches {len(to_base)} of {g.object_count} objects from base")
-    loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), _inv(to_base[j]))
-             for i, j, rid in g.dual.edges if i in to_base and (i, j, rid) not in tree]
+    closing = [e for e in g.dual.edges if e[0] in to_base and e not in tree]
+    # loops outnumber objects (K28 closes 351 loops at 28 vertices): invert
+    # each transport once, and only where a loop comes back through it
+    back = {j: _inv(to_base[j]) for j in {e[1] for e in closing}}
+    loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), back[j]) for i, j, rid in closing]
     # most loops of a complex repeat: one Perm and one symmetry check per distinct loop
     perms = {loop: Perm(loop) for loop in loops}
     degree = len(g.object_vertices[base])

@@ -205,3 +205,27 @@ def test_broken_connection_files_are_the_broken_edits(witness):
     path = (Path(__file__).parent / "connections"
             / f"k4-broken-{BROKEN_FILES[witness]}-connection.json")
     assert json.loads(path.read_text()) == connection_to_dict(GraphConnection(c.graph, nabla))
+
+
+def _k4_tables():
+    c = rotation_connection(complete_graph(4))
+    return c.graph, {k: dict(v) for k, v in c.nabla.items()}
+
+
+def test_extra_key_on_a_reversed_table_is_a_domain_witness():
+    # (1, 0) agrees with the inverse of (0, 1) on its whole star, so only
+    # the closing length check of the reversed tables can catch the key
+    graph, nabla = _k4_tables()
+    nabla[(1, 0)][(2, 3)] = (0, 1)
+    assert validate_connection(GraphConnection(graph, nabla)).witness == \
+        "table domain wrong at (1, 0)"
+
+
+@pytest.mark.parametrize("value", [None, (2, 3), (1, 2)],
+                         ids=["none", "outside-target-star", "repeated"])
+def test_bad_values_are_image_witnesses(value):
+    graph, nabla = _k4_tables()
+    assert nabla[(0, 1)][(0, 2)] == (1, 2)
+    nabla[(0, 1)][(0, 3)] = value
+    assert validate_connection(GraphConnection(graph, nabla)).witness == \
+        "table image wrong at (0, 1)"

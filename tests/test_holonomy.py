@@ -1,16 +1,22 @@
+import random
+
 import pytest
+from test_jordan import random_connection
 
 from groupoids.complexes import VertexMap, build_simplicial
 from groupoids.corpus import (
+    bundled_dir,
     cube_skeleton,
     cycle_complex,
     grid_patch,
     octahedron_boundary,
+    random_corpus,
     simplex_boundary,
     single_cube,
     strip_complex,
     triangle_strip,
 )
+from groupoids.graphconn import connection_groupoid, cycle_connection
 from groupoids.groupoid import Groupoid, transport, tribar_groupoid
 from groupoids.holonomy import (
     NotConnected,
@@ -22,8 +28,10 @@ from groupoids.holonomy import (
     induced_embedding_check,
     is_strongly_connected,
     slot_perm,
+    spanning_tree,
 )
-from groupoids.permgroup import closure_small
+from groupoids.permgroup import _inv, _mul, closure_small
+from groupoids.serialize import load_complex, load_json, parse_connection
 
 
 def test_is_strongly_connected():
@@ -168,3 +176,35 @@ def test_image_group_order_equals_source_order():
         assert induced_embedding_check(f)
         # embedding check already compares orders; cross-check the source
         assert src.order in (1, 2)
+
+
+def _inverse_once_cases():
+    for path in sorted(bundled_dir().glob("*.json")):
+        if path.name.endswith("-connection.json"):
+            yield path.stem, connection_groupoid(parse_connection(load_json(path)))
+        elif not path.name.endswith("-state.json"):
+            K = load_complex(path)
+            yield path.stem, K if isinstance(K, Groupoid) else Groupoid.from_complex(K)
+    for item in random_corpus(23, 200):
+        yield item.name, Groupoid.from_complex(item.complex)
+    yield "twisted-strip40", Groupoid.from_complex(strip_complex(40, twisted=True))
+    yield "cycle400", connection_groupoid(cycle_connection(400))
+    rng = random.Random(29)
+    for n in (12, 16, 20, 24, 28) * 6:
+        yield f"random-k{n}", connection_groupoid(random_connection(n, rng))
+
+
+def test_loops_invert_each_transport_once_with_the_same_generators():
+    """Each loop is transport to i, the flip, and the inverse transport of
+    j; ``holonomy`` inverts each transport once however many loops end
+    there.  The reference inverts it again for every loop."""
+    count = 0
+    for name, g in _inverse_once_cases():
+        base = g.object_count // 2
+        r = holonomy(g, base, require_connected=False)
+        tree, to_base = spanning_tree(g, base)
+        want = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), _inv(to_base[j]))
+                for i, j, rid in g.dual.edges if i in to_base and (i, j, rid) not in tree]
+        assert [p.images for p in r.generators] == want, name
+        count += 1
+    assert count >= 250
