@@ -3,7 +3,8 @@
 Each case is one ``groupoids --format json`` call: ``holonomy`` at
 ``--base`` 0 and 1, ``invariants`` and ``connection`` at ``--base`` 0
 and 1 on every bundled corpus file, ``connection`` at ``--base`` 0 and 1
-on the seeded random connections in ``tests/connections/``, ``connection``
+on the seeded random connections in ``tests/connections/`` and on the
+single edge K2 there, ``connection``
 at ``--base`` 0 on one broken K4 rotation connection per witness there,
 ``holonomy`` at ``--base`` 0 and 1 and ``invariants`` on the scrambled
 cubical complexes in ``tests/complexes/``, ``puzzle holonomy`` on a few
@@ -40,6 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # random connections on K10 and K14 whose holonomy is the symmetric group
 CONNECTIONS = ("tests/connections/k10-random-connection.json",
                "tests/connections/k14-random-connection.json")
+# the single edge, whose stars have one slot each
+K2 = "tests/connections/k2-connection.json"
 # the K4 rotation connection with one axiom broken, one file per witness
 BROKEN = tuple(f"tests/connections/k4-broken-{kind}-connection.json"
                for kind in ("missing", "domain", "image", "crossing", "inverse"))
@@ -74,6 +77,7 @@ def cases() -> dict[str, list[list[str]]]:
             out["connection"].append(["connection", path, "--base", base])
     out["connection"] += [["connection", path, "--base", base]
                           for path in CONNECTIONS for base in ("0", "1")]
+    out["connection"] += [["connection", K2, "--base", base] for base in ("0", "1")]
     out["connection"] += [["connection", path, "--base", "0"] for path in BROKEN]
     for path in COMPLEXES:
         out["invariants"].append(["invariants", path])
