@@ -63,13 +63,14 @@ class GraphConnection:
 @dataclass(frozen=True)
 class ConnectionReport:
     """The verdict of :func:`validate_connection`.  A valid connection
-    also carries its ``flips``: each oriented edge (x, y) mapped to its
-    table as a slot tuple, which sends slot s of the star of x (its s-th
-    edge in :func:`star` order) to slot ``flips[(x, y)][s]`` of the star
-    of y."""
+    also carries its ``stars``, the :func:`star` of every vertex, and its
+    ``flips``: each oriented edge (x, y) mapped to its table as a slot
+    tuple, which sends slot s of the star of x (its s-th edge,
+    ``stars[x][s]``) to slot ``flips[(x, y)][s]`` of the star of y."""
     ok: bool
     witness: str | None = None
     flips: dict[OrientedEdge, tuple[int, ...]] | None = None
+    stars: tuple[tuple[OrientedEdge, ...], ...] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -86,34 +87,48 @@ def validate_connection(c: GraphConnection) -> ConnectionReport:
     of its reversal.  The checks run in one pass over ``graph.edges``:
     once (x, y) passes, the table of (y, x) is the inverse on the whole
     star of y, so it meets every axiom unless it has an extra key, and a
-    length test is all the reversed tables need.
+    length test is all the reversed tables need.  The reversed table is
+    read only once (x, y) has passed its domain, image and crossing.
     """
     d = c.regularity  # raises NotRegular on irregular graphs
     nabla, edges = c.nabla, c.graph.edges
     for e in [*edges, *((y, x) for x, y in edges)]:
         if e not in nabla:
             return ConnectionReport(False, f"missing table for edge {e}")
-    stars = [star(c.graph, x) for x in range(c.graph.vertex_count)]
+    stars = tuple(star(c.graph, x) for x in range(c.graph.vertex_count))
     index = [dict(zip(edges_x, range(d))) for edges_x in stars]  # star edge -> its slot
     identity, flips = tuple(range(d)), {}
     for x, y in edges:
         table = nabla[(x, y)]
-        # a missing key, a None value and a value off the star of y all read as None
-        t = tuple(map(index[y].get, map(table.get, stars[x])))
-        if len(table) != d or None in t and not all(map(table.__contains__, stars[x])):
+        try:
+            # slot -> edge of x -> edge of y -> slot: two C-level reads
+            t = _mul(_mul(stars[x], table), index[y])
+        except (KeyError, TypeError):
+            # a key is missing or a value is off the star of y, so the table
+            # breaks its domain or its image; read item by item, where both
+            # read as None and an unhashable value raises TypeError
+            t = tuple(map(index[y].get, map(table.get, stars[x])))
+            if len(table) != d or None in t and not all(map(table.__contains__, stars[x])):
+                return ConnectionReport(False, f"table domain wrong at {(x, y)}")
+            return ConnectionReport(False, f"table image wrong at {(x, y)}")
+        if len(table) != d:
             return ConnectionReport(False, f"table domain wrong at {(x, y)}")
-        if None in t or len(set(t)) != d:
+        if len(set(t)) != d:
             return ConnectionReport(False, f"table image wrong at {(x, y)}")
         if table[(x, y)] != (y, x):
             return ConnectionReport(False, f"edge {(x, y)} must cross to {(y, x)}")
-        back = tuple(map(index[x].get, map(nabla[(y, x)].get, stars[y])))
+        rev = nabla[(y, x)]
+        try:
+            back = _mul(_mul(stars[y], rev), index[x])
+        except (KeyError, TypeError):
+            back = tuple(map(index[x].get, map(rev.get, stars[y])))
         if _mul(t, back) != identity:
             return ConnectionReport(False, f"tables at {(x, y)} and {(y, x)} are not inverse")
         flips[(x, y)], flips[(y, x)] = t, back
     for x, y in edges:
         if len(nabla[(y, x)]) != d:
             return ConnectionReport(False, f"table domain wrong at {(y, x)}")
-    return ConnectionReport(True, flips=flips)
+    return ConnectionReport(True, flips=flips, stars=stars)
 
 
 def cycle_connection(n: int) -> GraphConnection:
@@ -155,8 +170,7 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     report = validate_connection(c)
     if not report:
         raise InvalidTable(report.witness)
-    stars = tuple(star(c.graph, x) for x in range(c.graph.vertex_count))
-    return Groupoid.on_graph(stars, c.graph.edges, lambda x, y: report.flips[(x, y)])
+    return Groupoid.on_graph(report.stars, c.graph.edges, lambda x, y: report.flips[(x, y)])
 
 
 def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup | GiantGroup:

@@ -71,13 +71,18 @@ class HolonomyResult:
 
     @cached_property
     def group(self) -> PermGroup | GiantGroup:
-        """Built on first use.  Loops that move the most points go first:
-        they generate most of the group at once, so the chain keeps fewer
-        loops and sifts the rest to the identity."""
+        """Built on first use.  :func:`permgroup.jordan_giant` reads the
+        loops in tree order.  Only the chain takes them sorted, loops that
+        move the most points first: they generate most of the group at
+        once, so the chain keeps fewer loops and sifts the rest to the
+        identity."""
         degree = len(self.base_vertices)
+        giant = jordan_giant(self.generators, degree)
+        if giant is not None:
+            return giant
         by_moved = sorted(self.generators, reverse=True,
                           key=lambda p: sum(map(operator.ne, p.images, range(degree))))
-        return jordan_giant(by_moved, degree) or schreier_sims(by_moved, degree=degree)
+        return schreier_sims(by_moved, degree=degree)
 
     @property
     def order(self) -> int:
@@ -156,7 +161,7 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
     back = {j: _inv(to_base[j]) for j in {e[1] for e in closing}}
     loops = [_mul(_mul(to_base[i], g.flips[(i, j, rid)]), back[j]) for i, j, rid in closing]
     # most loops of a complex repeat: one Perm and one symmetry check per distinct loop
-    perms = {loop: Perm(loop) for loop in loops}
+    perms = {loop: Perm._of(loop) for loop in loops}
     degree = len(g.object_vertices[base])
     signed, outer = None, math.factorial(degree)
     if g.corner_maps is not None:

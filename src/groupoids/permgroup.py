@@ -27,8 +27,6 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .complexes import bfs
-
 
 class DegreeMismatch(ValueError):
     """Permutations of different degrees were combined."""
@@ -75,7 +73,13 @@ def _parity(a: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class Perm:
-    """A permutation of {0, ..., n-1} stored as its image tuple."""
+    """A permutation of {0, ..., n-1} stored as its image tuple.
+
+    ``Perm(images)`` checks that the images are a permutation; build
+    every permutation read from input that way.  ``Perm._of(images)``
+    skips the check, for image tuples that are a product, an inverse or
+    a conjugate of permutations; it makes a ``Perm`` equal to, and
+    hashing like, the checked one."""
 
     images: tuple[int, ...]
 
@@ -83,6 +87,12 @@ class Perm:
         object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation: {self.images!r}")
+
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> Perm:
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @staticmethod
     def identity(n: int) -> "Perm":
@@ -109,10 +119,10 @@ class Perm:
         # left-to-right: self acts first
         if len(self.images) != len(other.images):
             raise DegreeMismatch(f"{len(self.images)} vs {len(other.images)}")
-        return Perm(_mul(self.images, other.images))
+        return Perm._of(_mul(self.images, other.images))
 
     def inverse(self) -> "Perm":
-        return Perm(_inv(self.images))
+        return Perm._of(_inv(self.images))
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
@@ -326,7 +336,7 @@ class PermGroup:
         t_inv = _inv(t)
         return PermGroup(
             degree=self.degree,
-            generators=tuple(Perm(_mul(_mul(t_inv, g.images), t)) for g in self.generators),
+            generators=tuple(Perm._of(_mul(_mul(t_inv, g.images), t)) for g in self.generators),
             chain=tuple(_Level(t[level.beta], {t[gamma]: _mul(_mul(t_inv, u_inv), t)
                                                 for gamma, u_inv in level.inverses.items()})
                         for level in self.chain))
@@ -424,6 +434,30 @@ def schreier_sims(gens: Iterable[Perm], degree: int | None = None) -> PermGroup:
                      chain=tuple(_Level(level.beta, level.inverses) for level in chain))
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of the class of x in a union-find forest, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _transitive(gens: Iterable[tuple[int, ...]], degree: int) -> bool:
+    """Whether the image tuples ``gens`` join the points 0..degree-1 into
+    one orbit: a union-find over the points, to which each generator in
+    turn joins every point with its image, stopping as soon as one class
+    is left."""
+    parent, classes = list(range(degree)), degree
+    for a in gens:
+        for x, y in enumerate(a):
+            rx, ry = _find(parent, x), _find(parent, y)
+            if rx != ry:
+                parent[rx] = ry
+                classes -= 1
+                if classes == 1:
+                    return True
+    return classes <= 1
+
+
 # Random group elements jordan_giant tries after the generators.  In a
 # giant of degree n, a share 1/p of the elements has a p-cycle for each
 # prime p > n/2, about ln 2 / ln n in all and at least 1 in 11 from
@@ -437,10 +471,13 @@ def jordan_giant(gens: Iterable[Perm], degree: int) -> GiantGroup | None:
 
     The certificate has two parts: <gens> is transitive, and some element
     has a cycle of prime length p with n/2 < p <= n - 3, where n is the
-    degree.  That element is looked for first among the generators, then
-    along a product-replacement walk of ``JORDAN_BUDGET`` steps, seeded
-    with a fixed seed so that the same generators always give the same
-    answer (Seress, *Permutation Group Algorithms*, 10.2).
+    degree.  Transitivity is a union-find over the points that takes the
+    generators in the order given and stops at the first one that leaves
+    a single class, so a transitive set is seldom read to its end.  The
+    element is looked for first among the generators, then along a
+    product-replacement walk of ``JORDAN_BUDGET`` steps, seeded with a
+    fixed seed so that the same generators always give the same answer
+    (Seress, *Permutation Group Algorithms*, 10.2).
 
     Proof.  The other cycles of such an element have lengths at most
     n - p < p, hence prime to p, so a power of the element is a p-cycle
@@ -462,7 +499,7 @@ def jordan_giant(gens: Iterable[Perm], degree: int) -> GiantGroup | None:
     raw = [a for a in dict.fromkeys(g.images for g in gens) if a != ident]
     if any(len(a) != degree for a in raw):
         raise DegreeMismatch("mixed degrees in generating set")
-    if len(raw) < 2 or len(bfs(0, lambda x: [a[x] for a in raw])) < degree:
+    if len(raw) < 2 or not _transitive(raw, degree):
         return None
     primes = {p for p in range(degree // 2 + 1, degree - 2)
               if all(p % q for q in range(2, math.isqrt(p) + 1))}

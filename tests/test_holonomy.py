@@ -1,7 +1,8 @@
+import operator
 import random
 
 import pytest
-from test_jordan import random_connection
+from test_jordan import NOT_GIANT, loops_groupoid, random_connection
 
 from groupoids.complexes import VertexMap, build_simplicial
 from groupoids.corpus import (
@@ -30,7 +31,7 @@ from groupoids.holonomy import (
     slot_perm,
     spanning_tree,
 )
-from groupoids.permgroup import _inv, _mul, closure_small
+from groupoids.permgroup import _inv, _mul, closure_small, jordan_giant, recognize, schreier_sims
 from groupoids.serialize import load_complex, load_json, parse_connection
 
 
@@ -208,3 +209,42 @@ def test_loops_invert_each_transport_once_with_the_same_generators():
         assert [p.images for p in r.generators] == want, name
         count += 1
     assert count >= 250
+
+
+def moved_first_group(r):
+    """The group as it was built when the loops were sorted, most points
+    moved first, before Jordan's certificate as well as the chain."""
+    degree = len(r.base_vertices)
+    by_moved = sorted(r.generators, reverse=True,
+                      key=lambda p: sum(map(operator.ne, p.images, range(degree))))
+    return jordan_giant(by_moved, degree) or schreier_sims(by_moved, degree=degree)
+
+
+def _group_cases():
+    for path in sorted(bundled_dir().glob("*.json")):
+        if path.name.endswith("-connection.json"):
+            yield path.name, connection_groupoid(parse_connection(load_json(path)))
+        elif not path.name.endswith("-state.json"):
+            K = load_complex(path)
+            yield path.name, K if isinstance(K, Groupoid) else Groupoid.from_complex(K)
+    for item in random_corpus(seed=33, count=200):
+        yield item.name, Groupoid.from_complex(item.complex)
+    for name, (gens, _) in NOT_GIANT.items():
+        yield name, loops_groupoid(gens)
+    rng = random.Random(34)
+    for n in (12, 16, 20, 24, 28) * 40:
+        yield f"random-k{n}", connection_groupoid(random_connection(n, rng))
+
+
+def test_jordan_reads_tree_order_with_the_moved_first_verdict():
+    """``jordan_giant`` reads the loops in tree order and only the chain
+    sorts them; the group keeps its type, order, tag and generators."""
+    kinds = set()
+    for name, g in _group_cases():
+        r = holonomy(g, 0, require_connected=False)
+        got, want = r.group, moved_first_group(r)
+        assert type(got) is type(want), name
+        assert (got.order, recognize(got), got.generators) == \
+            (want.order, recognize(want), want.generators), name
+        kinds.add(type(got).__name__)
+    assert kinds == {"GiantGroup", "PermGroup"}

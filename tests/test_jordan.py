@@ -11,6 +11,7 @@ long cycles where that makes a wrong certificate easy to get.
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -248,3 +249,117 @@ def test_degree_100_is_certified_quickly():
     group = jordan_giant([a, b], 100)
     assert time.perf_counter() - started < 0.5
     assert group == GiantGroup(100)
+
+
+def orbit_count(gens, degree: int) -> int:
+    """The number of orbits of <gens>, by a search from each unseen point."""
+    seen, count = [False] * degree, 0
+    for start in range(degree):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start], stack = True, [start]
+        while stack:
+            x = stack.pop()
+            for a in gens:
+                if not seen[a[x]]:
+                    seen[a[x]] = True
+                    stack.append(a[x])
+    return count
+
+
+def _blocks(rng: random.Random, n: int) -> list[list[int]]:
+    """A random split of 0..n-1 into two or more nonempty blocks."""
+    points = list(range(n))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n - 1, 4))))
+    return [points[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def _within(rng: random.Random, n: int, blocks) -> tuple[int, ...]:
+    """A permutation that runs through each block as one cycle, in a
+    random order."""
+    images = list(range(n))
+    for block in blocks:
+        cycle = rng.sample(block, len(block))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return tuple(images)
+
+
+def _transitivity_sets(seed: int):
+    """(kind, generators, degree) of degree 1 to 40: random sets; sets
+    that keep a split of the points; sets that keep a split until the last
+    generator, which links one point of each block to the next; each
+    also with identities and duplicates mixed in."""
+    rng = random.Random(seed)
+    for n in range(1, 41):
+        ident = tuple(range(n))
+        yield "random", [_random_perm(rng, n).images for _ in range(rng.randint(1, 3))], n
+        if n < 2:
+            continue
+        blocks = _blocks(rng, n)
+        split = [_within(rng, n, blocks) for _ in range(rng.randint(1, 4))]
+        yield "split", split, n
+        link = list(ident)
+        heads = [rng.choice(block) for block in blocks]
+        for a, b in zip(heads, heads[1:] + heads[:1]):
+            link[a] = b
+        yield "last links", [*split, tuple(link)], n
+        messy = [*split, ident, *split[:1], tuple(link), tuple(link), ident]
+        yield "messy", messy, n
+
+
+def test_union_find_transitivity_matches_an_orbit_search():
+    kinds = Counter()
+    for kind, gens, n in _transitivity_sets(21):
+        want = orbit_count(gens, n) == 1
+        assert permgroup._transitive(gens, n) == want, (kind, gens)
+        kinds[kind, want] += 1
+        if kind == "last links":
+            assert not permgroup._transitive(gens[:-1], n) and want
+    assert set(kinds) == {("random", True), ("random", False), ("split", False),
+                          ("last links", True), ("messy", True)}, kinds
+
+
+def test_union_find_stops_at_the_first_generator_that_joins_every_point():
+    n = 12
+
+    def gens():
+        yield perm(n, lambda x: x ^ 1)
+        yield perm(n, lambda x: (x + 2) % n).images
+        raise AssertionError("read past the generator that made one class")
+
+    pairs = (a.images if isinstance(a, Perm) else a for a in gens())
+    assert permgroup._transitive(pairs, n)
+    assert permgroup._transitive([], 1) and not permgroup._transitive([], 2)
+
+
+def _jordan_groups():
+    """Every generating set this file hands to ``jordan_giant``."""
+    for gens, _ in NOT_GIANT.values():
+        yield gens, gens[0].degree
+    for seed in (7, 8):
+        for _, gens in _random_sets(seed):
+            yield gens, gens[0].degree
+    yield [cycles(7, (1, 2)), cycles(7, range(1, 8))], 7
+    c13 = perm(13, lambda x: (x + 1) % 13)
+    yield [c13, c13, Perm.identity(13)], 13
+    yield [cycles(12, (1, 2)), cycles(12, range(1, 13))], 12
+    rng = random.Random(100)
+    yield [_random_perm(rng, 100), _random_perm(rng, 100)], 100
+    rng = random.Random(11)
+    for n in list(range(9, 17)) * 2:
+        r = holonomy(connection_groupoid(random_connection(n, rng)), rng.randrange(n))
+        yield r.generators, n - 1
+
+
+def test_jordan_verdicts_match_the_orbit_search(monkeypatch):
+    """With the union-find swapped for the orbit search, every group of
+    this file gets the same verdict and the same ``alternating`` flag."""
+    groups = list(_jordan_groups())
+    verdicts = [jordan_giant(gens, n) for gens, n in groups]
+    monkeypatch.setattr(permgroup, "_transitive",
+                        lambda gens, n: orbit_count(list(gens), n) == 1)
+    assert [jordan_giant(gens, n) for gens, n in groups] == verdicts
+    assert sum(v is not None for v in verdicts) >= 40

@@ -1,8 +1,10 @@
+import ast
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
+from test_engine import SRC, _nodes_by_owner
 
 from groupoids.permgroup import (
     ClosureTooLarge,
@@ -303,3 +305,40 @@ def test_recognize_skips_duplicate_and_identity_generators():
     group = schreier_sims(gens)
     assert group.generators == (swap,)
     assert recognize(group) == "cyclic(2)"
+
+
+@given(st.integers(0, 9).flatmap(perms))
+def test_unchecked_perm_equals_the_checked_one(p):
+    q = Perm._of(p.images)
+    assert q == p and hash(q) == hash(p) and q.images is p.images
+    assert (q * p).images == (p * p).images and q.inverse() == p.inverse()
+
+
+def test_checked_perm_still_rejects_what_is_not_a_permutation():
+    for images in [(0, 0), (1,), (0, 2), (1, 2, 0, 0)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            Perm(images)
+    assert (Perm((1, 0)) * Perm((1, 0))).is_identity()
+    with pytest.raises(DegreeMismatch):
+        Perm((1, 0)) * Perm.identity(3)
+
+
+# Where the package may build a Perm without checking its images: only
+# from products, inverses and conjugates of permutations.  A call on
+# parsed input (serialize, the residual of games.reachable) must fail.
+UNCHECKED_PERM_SITES = {
+    "permgroup.Perm.__mul__",
+    "permgroup.Perm.inverse",
+    "permgroup.PermGroup.conjugate",
+    "holonomy.holonomy",
+}
+
+
+def test_unchecked_perms_are_built_only_from_products():
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _nodes_by_owner(path):
+            if isinstance(node, ast.Attribute) and node.attr == "_of" \
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "HomCell"):
+                sites.add(f"{path.stem}.{owner}")
+    assert sites == UNCHECKED_PERM_SITES
