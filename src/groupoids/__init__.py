@@ -49,17 +49,11 @@ from .graphconn import (
     validate_connection,
 )
 from .groupoid import (
-    BaseMismatch,
     BrokenPath,
-    ElemMorphism,
     Groupoid,
     NotAdjacent,
-    Pattern,
     TransportPath,
-    elementary_morphisms,
-    identity_pattern,
     transport,
-    transport_pattern,
     tribar_groupoid,
 )
 from .holonomy import (
@@ -69,7 +63,6 @@ from .holonomy import (
     NotNondegenerate,
     holonomy,
     holonomy_group,
-    holonomy_order_invariance,
     induced_embedding_check,
     is_strongly_connected,
 )
@@ -83,7 +76,6 @@ from .homcx import (
     euler_characteristic,
     f_vector,
     graph_by_name,
-    graph_hom_exists,
     hom_complex,
     induced_swap_action,
     restriction_map,

@@ -9,6 +9,7 @@ stderr so it never perturbs the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -182,6 +183,8 @@ def cmd_connection(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.count < 0:
+        raise ParseError(f"--count must be at least 0, not {args.count}")
     items = random_corpus(args.seed, args.count)
     le_held = 0
     eq_total = 0
@@ -229,6 +232,7 @@ def cmd_corpus(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoids",

@@ -5,9 +5,7 @@ between two cells adjacent across a ridge is the poset isomorphism
 fixing that ridge pointwise (the "flip").  For simplices the flip is
 forced on the one remaining vertex; for cubes the pointwise stabilizer
 of a facet inside the cube symmetry group is trivial, so the extension
-across the shared facet is unique as well.  The API still returns a
-sequence of morphisms so poset families with genuine multiplicity can
-slot in later.
+across the shared facet is unique as well.
 
 Slot s of an object is its s-th vertex in ``object_vertices``, and a
 flip is stored as an image tuple over slots.  Composites follow the
@@ -41,18 +39,6 @@ class BrokenPath(ValueError):
     """Consecutive path entries are not adjacent via the chosen ridge."""
 
 
-class BaseMismatch(ValueError):
-    """Pattern and transport disagree on the base object."""
-
-
-@dataclass(frozen=True)
-class ElemMorphism:
-    source: int
-    target: int
-    ridge: int
-    bijection: dict[int, int]
-
-
 @dataclass(frozen=True)
 class TransportPath:
     """A walk through adjacent cells with its accumulated bijection."""
@@ -60,33 +46,6 @@ class TransportPath:
     facets: tuple[int, ...]
     ridges: tuple[int, ...]
     bijection: dict[int, int]
-
-    @property
-    def source(self) -> int:
-        return self.facets[0]
-
-    @property
-    def target(self) -> int:
-        return self.facets[-1]
-
-    def to_wire(self) -> list[int]:
-        """Alternating facet/ridge id list."""
-        out: list[int] = [self.facets[0]]
-        for r, f in zip(self.ridges, self.facets[1:]):
-            out.extend((r, f))
-        return out
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A labelling of one object by reference slots.
-
-    Transporting the pattern along morphisms tracks holonomy concretely:
-    the labels move with the cells while the slots stay put.
-    """
-
-    facet: int
-    labelling: dict[int, int]  # slot -> vertex
 
 
 @dataclass(frozen=True)
@@ -182,30 +141,6 @@ def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[
     return addr
 
 
-def corner_map_signed(source_corners: tuple[int, ...], target_corners: tuple[int, ...],
-                      bijection: dict[int, int]) -> SignedPerm:
-    """Extract the signed permutation behind a corner bijection; anything
-    but a cube symmetry is rejected (see ``_cube_symmetry``)."""
-    target_index = {v: idx for idx, v in enumerate(target_corners)}
-    perm, signs = _cube_symmetry([target_index[bijection[v]] for v in source_corners])
-    return SignedPerm(Perm(perm), signs)
-
-
-def elementary_morphisms(K, facet_i: int, facet_j: int,
-                         ridge: Sequence[int]) -> list[ElemMorphism]:
-    """All poset isomorphisms facet_i -> facet_j fixing the ridge pointwise.
-
-    For simplices and cubes the list has exactly one entry.
-    """
-    ridge_set = frozenset(ridge)
-    g = Groupoid.from_complex(K)
-    rid = next((i for i, r in enumerate(g.dual.ridges) if frozenset(r) == ridge_set), None)
-    if (facet_i, facet_j, rid) not in g.flips:
-        raise NotAdjacent(
-            f"facets {facet_i}, {facet_j} are not adjacent over {sorted(ridge_set)}")
-    return [ElemMorphism(facet_i, facet_j, rid, g.vertex_map(facet_i, facet_j, rid))]
-
-
 def transport(g: Groupoid, facets: Sequence[int],
               ridges: Sequence[int] | None = None) -> TransportPath:
     """Compose the flips along a facet walk.
@@ -239,19 +174,6 @@ def transport(g: Groupoid, facets: Sequence[int],
     target = g.object_vertices[facets[-1]]
     return TransportPath(facets=facets, ridges=ridges,
                          bijection={x: target[s] for x, s in zip(source, slots)})
-
-
-def transport_pattern(p: Pattern, t: TransportPath) -> Pattern:
-    """Carry a slot labelling along a transport path."""
-    if p.facet != t.source:
-        raise BaseMismatch(f"pattern at {p.facet}, transport starts at {t.source}")
-    return Pattern(facet=t.target,
-                   labelling={slot: t.bijection[v] for slot, v in p.labelling.items()})
-
-
-def identity_pattern(g: Groupoid, facet: int) -> Pattern:
-    verts = g.object_vertices[facet]
-    return Pattern(facet=facet, labelling={i: v for i, v in enumerate(verts)})
 
 
 # The impossible-triangle groupoid: three mutually congruent boxes, each

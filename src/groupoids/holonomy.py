@@ -5,7 +5,7 @@ fundamental cycles: each non-tree edge of the dual multigraph closes a
 loop whose transport permutation is one generator.  Generators act on
 the vertex SLOTS of the base object (positions 0..d in sorted vertex
 order), not on global ids, so groups are comparable across complexes
-and directly track a slot pattern carried around a loop.  Flips are
+and directly track slot labels carried around a loop.  Flips are
 slot image tuples already, so transports and loops are products of
 tuples (``permgroup._mul``) and no vertex map is built on the way.
 """
@@ -104,14 +104,6 @@ def is_strongly_connected(K: SimplicialComplex | CubicalComplex) -> bool:
     return facet_adjacency(K).is_connected()
 
 
-def slot_perm(g: Groupoid, obj: int, bijection: dict[int, int]) -> Perm:
-    """Convert a self-bijection of an object's vertices to a slot
-    permutation in sorted-vertex order."""
-    verts = g.object_vertices[obj]
-    index = {v: i for i, v in enumerate(verts)}
-    return Perm(tuple(index[bijection[v]] for v in verts))
-
-
 def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
     """BFS tree from the base with lowest-ridge-id tie-breaking, or a
     seeded shuffle of the exploration order when rng is given.
@@ -189,25 +181,6 @@ def holonomy_group(K: SimplicialComplex | CubicalComplex,
                    base: int = 0) -> HolonomyResult:
     """Holonomy of the facet-flip groupoid of a complex."""
     return holonomy(Groupoid.from_complex(K), base)
-
-
-def holonomy_order_invariance(K, seeds=(1, 2, 3)) -> bool:
-    """Test helper: the order and recognition tag must agree across all
-    base facets and across several randomized spanning trees."""
-    g = Groupoid.from_complex(K)
-    if not g.dual.is_connected():
-        raise NotConnected("invariance check needs a connected dual graph")
-    reference = holonomy(g, 0)
-    want = (reference.order, reference.tag)
-    for base in range(g.object_count):
-        r = holonomy(g, base)
-        if (r.order, r.tag) != want:
-            return False
-    for seed in seeds:
-        r = holonomy(g, 0, rng=random.Random(seed))
-        if (r.order, r.tag) != want:
-            return False
-    return True
 
 
 def closed_path_oracle(g: Groupoid, base: int, max_len: int | None = None) -> frozenset[Perm]:

@@ -235,53 +235,3 @@ def restriction_map(G: Graph, cell: HomCell, e: tuple[int, int]) -> HomCell:
     if not G.has_edge(u, v):
         raise EdgeNotInGraph(f"{e} is not an edge")
     return HomCell._of((cell.masks[u], cell.masks[v]))
-
-
-def precompose_cells(cells: Sequence[HomCell], h: dict[int, int],
-                     G_src: Graph, H: Graph) -> tuple[HomCell, ...]:
-    """Pull cells back along a graph map h: G_src -> G.
-
-    Each image cell is revalidated against G_src; a non-homomorphism h
-    surfaces as a validation failure.
-    """
-    images = tuple(HomCell._of(tuple(c.masks[h[i]] for i in range(G_src.vertex_count)))
-                   for c in cells)
-    if not all(_validate_cell(G_src, H, image) for image in images):
-        raise ValueError("precomposition produced an invalid cell")
-    return images
-
-
-@dataclass(frozen=True)
-class HomSearchResult:
-    found: bool
-    witness: tuple[int, ...] | None
-
-    def __bool__(self) -> bool:
-        return self.found
-
-
-def graph_hom_exists(G: Graph, n: int, max_vertices: int = 20) -> HomSearchResult:
-    """Is there a graph homomorphism into the complete graph on n
-    vertices, i.e. a proper n-coloring?
-
-    Exhaustive backtracking with adjacency pruning; the witness is a
-    coloring.
-    """
-    if G.vertex_count > max_vertices:
-        raise TooLarge(f"search capped at {max_vertices} vertices")
-    colors: list[int] = []
-
-    def rec(i: int) -> bool:
-        if i == G.vertex_count:
-            return True
-        for c in range(n):
-            if all(colors[u] != c for u in G.adjacency[i] if u < i):
-                colors.append(c)
-                if rec(i + 1):
-                    return True
-                colors.pop()
-        return False
-
-    if rec(0):
-        return HomSearchResult(True, tuple(colors))
-    return HomSearchResult(False, None)

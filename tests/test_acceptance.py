@@ -12,6 +12,7 @@ import random
 import time
 
 import pytest
+from test_flip_tuples import slot_perm
 
 from groupoids.complexes import VertexMap
 from groupoids.corpus import (
@@ -42,7 +43,6 @@ from groupoids.holonomy import (
     holonomy,
     holonomy_group,
     induced_embedding_check,
-    slot_perm,
 )
 from groupoids.homcx import complete_graph, euler_characteristic, hom_complex, induced_swap_action
 from groupoids.invariants import (
@@ -163,7 +163,7 @@ def test_c6_induced_functor():
         target_base = next(i for i, verts in enumerate(dst_g.object_vertices)
                            if frozenset(verts) == image_set)
         image_perms = [
-            slot_perm(dst_g, target_base, {f(u): f(v) for u, v in bij.items()})
+            slot_perm(dst_g.object_vertices, target_base, {f(u): f(v) for u, v in bij.items()})
             for bij in src.vertex_bijections
         ]
         image_group = schreier_sims(image_perms, degree=2)

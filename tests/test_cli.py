@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from groupoids.cli import main
+from groupoids.cli import build_parser, main
 from groupoids.corpus import bundled_dir
 from groupoids.serialize import complex_to_dict, load_complex, parse_complex
 
@@ -166,6 +166,23 @@ def test_corpus_command(capsys):
     code, out = run(capsys, "corpus", "--seed", "7", "--count", "25")
     assert code == 0
     assert "I<=NaCl held 25/25" in out
+
+
+def test_corpus_count_below_zero_is_input_error(capsys):
+    assert main(["corpus", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --count must be at least 0, not -1\n"
+    code, out = run(capsys, "corpus", "--count", "0")
+    assert code == 0 and "I<=NaCl held 0/0" in out
+
+
+def test_main_calls_share_one_parser(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "hom", "--g", "k2", "--h", "k3")[0] == 0
+    assert run(capsys, "hom", "--g", "k2", "--h", "k3")[0] == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_corpus_command_json_stable(capsys):

@@ -131,3 +131,63 @@ def test_graph_walks_go_through_the_shared_bfs():
     assert deque_users == {"holonomy.spanning_tree", "games.reachable_bfs"}
     assert worklists == {"holonomy.spanning_tree", "holonomy.closed_path_oracle",
                          "games._has_cut_vertex", "games.reachable_bfs"}
+
+
+# Paper API kept on purpose, though only the tests call it.
+PAPER_API = {
+    "face_poset": "the face poset, the paper's definition of a complex's cells",
+    "compose_maps": "composition of vertex maps, the morphisms between complexes",
+    "is_strongly_connected": "the connectivity hypothesis of the holonomy theorems",
+    "holonomy_group": "the holonomy of a complex in one call",
+    "induced_embedding_check": "a non-degenerate map embeds the holonomy groups",
+    "is_face": "the face relation of the hom complex",
+    "restriction_map": "restriction of a hom-complex cell to one edge",
+    "lattice_parity_coloring": "the 2-colouring of a cubical lattice embedding",
+    "transport_coloring": "the rainbow colouring by transport under trivial holonomy",
+    "transport": "transport along a facet walk; the holonomy engine composes flips inline",
+}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a tree names: variables, attributes and imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def _unused_public_names(allowed) -> list[str]:
+    """Public top-level functions and classes that no other package
+    module, bench or script names, nor code of their own module that is
+    itself in use (module-level statements, or a used def, transitively).
+    ``__init__.py`` and the tests do not count."""
+    root = SRC.parents[1]
+    outside = set().union(*(_names(ast.parse(path.read_text()))
+                            for folder in ("bench", "scripts")
+                            for path in (root / folder).glob("*.py")))
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    unused = []
+    for stem, tree in sorted(modules.items()):
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        used = outside.union(allowed, *(_names(t) for s, t in modules.items() if s != stem),
+                             *(_names(node) for node in tree.body if node not in defs.values()))
+        grown = None
+        while grown != used:
+            grown, used = used, used.union(*(_names(defs[n]) for n in defs.keys() & used))
+        unused += [f"{stem}.{n}" for n in defs if not n.startswith("_") and n not in used]
+    return unused
+
+
+def test_public_api_is_used_outside_the_tests():
+    """A public function or class that only the tests call is dead code;
+    delete it, or add it to PAPER_API with the reason it stays."""
+    assert _unused_public_names(set(PAPER_API)) == []
+    # each allowlisted name exists and still needs its entry
+    assert set(PAPER_API) <= {n.rpartition(".")[2] for n in _unused_public_names(set())}

@@ -3,8 +3,9 @@ import random
 from itertools import permutations
 
 import pytest
+from test_flip_tuples import corner_map_signed, slot_perm
 
-from groupoids.complexes import build_cubical, build_simplicial
+from groupoids.complexes import _cube_symmetry, build_cubical, build_simplicial
 from groupoids.corpus import (
     cycle_complex,
     grid_patch,
@@ -13,30 +14,29 @@ from groupoids.corpus import (
     triangle_strip,
 )
 from groupoids.groupoid import (
-    BaseMismatch,
     BrokenPath,
     Groupoid,
     NotAdjacent,
-    corner_map_signed,
-    elementary_morphisms,
-    identity_pattern,
+    _extra_slot,
+    _ridge_corners,
     transport,
-    transport_pattern,
     tribar_groupoid,
 )
-from groupoids.permgroup import signed_parity
+from groupoids.permgroup import Perm, SignedPerm, signed_parity
 
 
 def test_flip_two_triangles():
-    K = build_simplicial([[0, 1, 2], [1, 2, 3]])
-    (m,) = elementary_morphisms(K, 0, 1, [1, 2])
-    assert m.bijection == {0: 3, 1: 1, 2: 2}
+    g = Groupoid.from_complex(build_simplicial([[0, 1, 2], [1, 2, 3]]))
+    ((i, j, rid),) = g.dual.edges
+    assert (i, j, g.dual.ridges[rid]) == (0, 1, (1, 2))
+    assert g.vertex_map(0, 1, rid) == {0: 3, 1: 1, 2: 2}
 
 
 def test_flip_two_edges():
-    K = build_simplicial([[0, 1], [1, 2]])
-    (m,) = elementary_morphisms(K, 0, 1, [1])
-    assert m.bijection == {0: 2, 1: 1}
+    g = Groupoid.from_complex(build_simplicial([[0, 1], [1, 2]]))
+    ((i, j, rid),) = g.dual.edges
+    assert (i, j, g.dual.ridges[rid]) == (0, 1, (1,))
+    assert g.vertex_map(0, 1, rid) == {0: 2, 1: 1}
 
 
 def brute_force_square_flips(K, i, j, ridge):
@@ -61,13 +61,15 @@ def test_flip_two_squares_matches_brute_force():
         {"00": 0, "01": 1, "10": 2, "11": 3},
         {"00": 2, "01": 3, "10": 4, "11": 5},
     ])
-    ridge = frozenset({2, 3})
-    oracle = brute_force_square_flips(K, 0, 1, ridge)
+    g = Groupoid.from_complex(K)
+    ((i, j, rid),) = g.dual.edges
+    assert (i, j, g.dual.ridges[rid]) == (0, 1, (2, 3))
+    oracle = brute_force_square_flips(K, 0, 1, frozenset({2, 3}))
     assert len(oracle) == 1
-    (m,) = elementary_morphisms(K, 0, 1, [2, 3])
-    assert m.bijection == oracle[0]
+    bijection = g.vertex_map(0, 1, rid)
+    assert bijection == oracle[0]
     # the flat crossing reverses the crossing direction
-    sp = corner_map_signed(K.cubes[0], K.cubes[1], m.bijection)
+    sp = corner_map_signed(K.cubes[0], K.cubes[1], bijection)
     assert signed_parity(sp) == 1
 
 
@@ -87,8 +89,10 @@ def cube_symmetries(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_corner_map_signed_accepts_exactly_the_face_preserving_bijections(k):
     """Every bijection for k <= 2; for k = 3 the 48 symmetries and 2,000
-    seeded others.  A bijection is accepted exactly when it carries faces
-    onto faces, and the accepted ones give distinct signed permutations."""
+    seeded others.  ``_cube_symmetry`` accepts an image of the flat corner
+    indices exactly when it carries faces onto faces; the signed
+    permutation it returns reproduces the image, and the accepted ones
+    are distinct."""
     n = 1 << k
     rng = random.Random(k)
     if k <= 2:
@@ -102,18 +106,16 @@ def test_corner_map_signed_accepts_exactly_the_face_preserving_bijections(k):
                 others.add(image)
         images += sorted(others)
     faces = cube_faces(k)
-    source = tuple(rng.sample(range(100, 100 + n), n))
-    target = tuple(rng.sample(range(200, 200 + n), n))
     accepted = []
     for image in images:
-        bijection = {source[i]: target[image[i]] for i in range(n)}
         if {frozenset(image[i] for i in f) for f in faces} == faces:
-            sp = corner_map_signed(source, target, bijection)
+            perm, signs = _cube_symmetry(image)
+            sp = SignedPerm(Perm(perm), signs)
             assert [sp.apply_index(i) for i in range(n)] == list(image)
             accepted.append(sp)
         else:
             with pytest.raises(ValueError):
-                corner_map_signed(source, target, bijection)
+                _cube_symmetry(image)
     assert len(accepted) == len(set(accepted)) == n * math.factorial(k)
 
 
@@ -129,7 +131,12 @@ def test_flip_around_cube_corner_is_even():
 def test_not_adjacent():
     K = simplex_boundary(3)
     with pytest.raises(NotAdjacent):
-        elementary_morphisms(K, 0, 1, [0])
+        _extra_slot(K.facets[0], (0,))
+    with pytest.raises(NotAdjacent):
+        _extra_slot(K.facets[0], (0, 3))
+    # a diagonal is no facet of a square
+    with pytest.raises(NotAdjacent):
+        _ridge_corners((0, 1, 2, 3), (0, 3))
 
 
 @pytest.mark.parametrize("K", [
@@ -140,15 +147,14 @@ def test_not_adjacent():
 ])
 def test_flip_uniqueness_and_ridge_fixing(K):
     g = Groupoid.from_complex(K)
+    # one flip each way across each dual edge
+    assert len(g.flips) == 2 * len(g.dual.edges)
     for i, j, rid in g.dual.edges:
-        ridge = g.dual.ridges[rid]
-        morphisms = elementary_morphisms(K, i, j, ridge)
-        assert len(morphisms) == 1
-        bij = morphisms[0].bijection
-        for v in ridge:
+        bij = g.vertex_map(i, j, rid)
+        assert sorted(bij.values()) == sorted(g.object_vertices[j])
+        for v in g.dual.ridges[rid]:
             assert bij[v] == v
-        # stored flips agree and invert each other
-        assert g.vertex_map(i, j, rid) == bij
+        # the two directions invert each other
         assert g.vertex_map(j, i, rid) == {v: u for u, v in bij.items()}
 
 
@@ -179,15 +185,15 @@ def test_transport_matches_stepwise_flips():
         step = g.vertex_map(u, v, rid)
         bij = {x: step[y] for x, y in bij.items()}
     assert t.bijection == bij
-    assert t.to_wire()[0::2] == list(path)
+    assert t.facets == tuple(path)
 
 
 def test_transport_closed_loop_lands_in_oracle():
-    from groupoids.holonomy import closed_path_oracle, slot_perm
+    from groupoids.holonomy import closed_path_oracle
     g = Groupoid.from_complex(simplex_boundary(3))
     t = transport(g, [0, 1, 2, 0])
     oracle = closed_path_oracle(g, 0)
-    assert slot_perm(g, 0, t.bijection) in oracle
+    assert slot_perm(g.object_vertices, 0, t.bijection) in oracle
 
 
 def test_transport_reversal_is_inverse_on_random_paths():
@@ -216,37 +222,6 @@ def test_broken_path():
         transport(g, [0, 3])
     with pytest.raises(BrokenPath):
         transport(g, [])
-
-
-def test_pattern_transport():
-    g = Groupoid.from_complex(triangle_strip(2))
-    p = identity_pattern(g, 0)
-    ident = transport(g, [0])
-    assert transport_pattern(p, ident) == p
-
-    step = transport(g, [0, 1])
-    q = transport_pattern(p, step)
-    assert q.facet == 1
-    assert q.labelling == {slot: step.bijection[v] for slot, v in p.labelling.items()}
-
-    back = transport(g, [1, 0])
-    assert transport_pattern(q, back) == p
-
-
-def test_pattern_concatenation_matches_stepwise():
-    g = Groupoid.from_complex(simplex_boundary(3))
-    p = identity_pattern(g, 0)
-    ab = transport(g, [0, 1])
-    bc = transport(g, [1, 2])
-    both = transport(g, [0, 1, 2])
-    assert transport_pattern(transport_pattern(p, ab), bc) == transport_pattern(p, both)
-
-
-def test_pattern_base_mismatch():
-    g = Groupoid.from_complex(triangle_strip(2))
-    p = identity_pattern(g, 1)
-    with pytest.raises(BaseMismatch):
-        transport_pattern(p, transport(g, [0, 1]))
 
 
 def test_tribar_loop_is_order_four():

@@ -2,6 +2,7 @@ import operator
 import random
 
 import pytest
+from test_flip_tuples import slot_perm
 from test_jordan import NOT_GIANT, loops_groupoid, random_connection
 
 from groupoids.complexes import VertexMap, build_simplicial
@@ -25,10 +26,8 @@ from groupoids.holonomy import (
     closed_path_oracle,
     holonomy,
     holonomy_group,
-    holonomy_order_invariance,
     induced_embedding_check,
     is_strongly_connected,
-    slot_perm,
     spanning_tree,
 )
 from groupoids.permgroup import _inv, _mul, closure_small, jordan_giant, recognize, schreier_sims
@@ -76,7 +75,12 @@ def test_not_connected_raises():
     octahedron_boundary(),
 ])
 def test_order_invariant_of_base_and_tree(K):
-    assert holonomy_order_invariance(K)
+    """Every base facet, and seeded shuffles of the spanning tree, give
+    one order and recognition tag."""
+    g = Groupoid.from_complex(K)
+    runs = [holonomy(g, base) for base in range(g.object_count)]
+    runs += [holonomy(g, 0, rng=random.Random(seed)) for seed in (1, 2, 3)]
+    assert len({(r.order, r.tag) for r in runs}) == 1
 
 
 def test_generators_recompose_from_their_paths():
@@ -105,7 +109,7 @@ def test_generators_recompose_from_their_paths():
         fi, ri = paths[i]
         fj, rj = paths[j]
         loop = transport(g, fi + fj[::-1], ri + [rid] + rj[::-1])
-        assert slot_perm(g, 0, loop.bijection) == r.generators[gen_index]
+        assert slot_perm(g.object_vertices, 0, loop.bijection) == r.generators[gen_index]
         gen_index += 1
     assert gen_index == len(r.generators)
 

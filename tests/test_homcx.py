@@ -12,11 +12,9 @@ from groupoids.homcx import (
     euler_characteristic,
     f_vector,
     graph_by_name,
-    graph_hom_exists,
     hom_complex,
     induced_swap_action,
     is_face,
-    precompose_cells,
     restriction_map,
 )
 
@@ -144,28 +142,9 @@ def test_restriction_intertwines_edge_flip():
         assert left.eta == (right.eta[1], right.eta[0])
 
 
-def test_graph_hom_exists():
-    C5 = cycle_graph(5)
-    assert not graph_hom_exists(C5, 2)
-    found = graph_hom_exists(C5, 3)
-    assert found
-    witness = found.witness
-    for a, b in C5.edges:
-        assert witness[a] != witness[b]
-    assert graph_hom_exists(complete_graph(4), 4)
-
-
-def test_graph_hom_monotone_in_colors():
-    C5 = cycle_graph(5)
-    results = [bool(graph_hom_exists(C5, n)) for n in range(1, 6)]
-    assert results == sorted(results)
-
-
 def test_guards():
     with pytest.raises(TooLarge):
         hom_complex(complete_graph(8), complete_graph(8))
-    with pytest.raises(TooLarge):
-        graph_hom_exists(Graph(25, ()), 2)
 
 
 def test_cell_budget_counts_the_cells_kept(monkeypatch):
@@ -193,19 +172,3 @@ def test_deep_graph_needs_no_recursion():
     path = Graph(3000, tuple((i, i + 1) for i in range(2999)))
     assert hom_complex(path, graph_by_name("k1")) == ()
     assert hom_complex(Graph(0, ()), K2) == ()
-
-
-def test_precompose_functoriality():
-    C5 = cycle_graph(5)
-    C10 = cycle_graph(10)
-    H = complete_graph(3)
-    cells = hom_complex(C5, H)
-    h = {i: i % 5 for i in range(10)}
-    images = precompose_cells(cells, h, C10, H)
-    assert len(images) == len(cells)
-    for img in images:
-        assert _validate_cell(C10, H, img)
-    # a non-homomorphism surfaces as a validation failure
-    bad = {i: 0 for i in range(10)}
-    with pytest.raises(ValueError):
-        precompose_cells(cells, bad, C10, H)
