@@ -147,7 +147,8 @@ def cmd_hom(args) -> int:
     if max(g, h) ** 2 > HOM_BUDGET:    # time and memory quadratic in n
         raise TooLarge(f"a graph on {max(g, h)} vertices exceeds the enumeration budget")
     cells = hom_complex(g_family(g), h_family(h))
-    wanted = args.report.split(",") if args.report else ["fvector", "euler", "free-action"]
+    default = "fvector,euler,free-action" if g == 2 else "fvector,euler"
+    wanted = (args.report or default).split(",")
     results: dict = {"g": args.g, "h": args.h, "cells": len(cells)}
     for item in wanted:
         if item == "fvector":

@@ -19,9 +19,10 @@ counted as a piece, must have the parity of the colour change of the
 hole (each move is one transposition and flips the hole's colour).
 Both read one verdict and 2-colouring per board (``Puzzle.wilson``).
 Every other board (cycles, theta_0, boards with a cut vertex, the 2x2
-board) goes through ``holonomy.holonomy``, and its reach queries carry
-the pieces along a hole path and test the residual permutation against
-the chain.
+board) goes through ``holonomy.holonomy`` once, at hole 0
+(``Puzzle.hole0``).  Its reach queries carry both states back to hole 0
+through the spanning tree's transports and test the residual
+permutation against that one group.
 
 Closed-tour convention: moving the hole one step swaps it with the
 piece next to it, so a hole tour around a closed walk shifts the pieces
@@ -39,10 +40,10 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .complexes import bfs, tree_path
+from .complexes import bfs
 from .groupoid import Groupoid, _exchange
-from .holonomy import holonomy, spanning_tree
-from .permgroup import GiantGroup, Perm, PermGroup, _parity
+from .holonomy import HolonomyResult, holonomy
+from .permgroup import GiantGroup, Perm, PermGroup, _inv, _parity
 
 
 class DegenerateBoard(ValueError):
@@ -94,13 +95,28 @@ class Puzzle:
         """Wilson's verdict on the board, built once per board: None
         where the theorem does not decide the group, else the group and,
         for A_{n-1}, the cell colours of the board's 2-colouring (None
-        for S_{n-1}).  See :func:`wilson_group`."""
+        for S_{n-1}).
+
+        The theorem decides boards whose simple graph (repeated edges
+        only add trivial tours) is 2-connected (at least three cells, no
+        cut vertex) and not a cycle, except those with exactly seven
+        cells: that excludes theta_0, whose group has order 120, without
+        an isomorphism test.  The group is A_{n-1} on a bipartite board,
+        else S_{n-1}.  O(V + E).
+        """
         simple = [tuple(dict.fromkeys(ns)) for ns in self.adjacency]
         if self.cell_count < 3 or self.cell_count == 7 \
                 or all(len(ns) == 2 for ns in simple) or _has_cut_vertex(simple):
             return None
         colours = _two_colouring(simple)
         return GiantGroup(self.piece_count, alternating=colours is not None), colours
+
+    @cached_property
+    def hole0(self) -> HolonomyResult:
+        """The holonomy of the puzzle groupoid at hole 0, with the
+        spanning tree's slot transports to every hole, built once per
+        board; only boards that Wilson's theorem leaves undecided read it."""
+        return holonomy(puzzle_groupoid(self), 0)
 
 
 def grid_puzzle(m: int, n: int) -> Puzzle:
@@ -174,15 +190,6 @@ def fifteen_puzzle_states() -> tuple[Puzzle, LabelledState, LabelledState]:
     return board, start, target
 
 
-def _apply_hole_path(board: Puzzle, occupancy: dict[int, str], path: list[int]) -> dict[int, str]:
-    occ = dict(occupancy)
-    for here, there in zip(path, path[1:]):
-        if there not in board.neighbors(here):
-            raise BoardMismatch(f"cells {here}, {there} are not adjacent")
-        occ[here] = occ.pop(there)
-    return occ
-
-
 def puzzle_groupoid(board: Puzzle) -> Groupoid:
     """The sliding-puzzle groupoid of a board.
 
@@ -195,7 +202,8 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
     cells = tuple(range(n))
     # cell y sits at slot y - (y > x) of object x
     return Groupoid.on_graph(tuple(cells[:u] + cells[u + 1:] for u in cells), board.edges,
-                             lambda x, y: _exchange(n - 1, y - (y > x), x - (x > y)))
+                             {(x, y): _exchange(n - 1, y - (y > x), x - (x > y))
+                              for e in board.edges for x, y in (e, e[::-1])})
 
 
 def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:
@@ -239,50 +247,17 @@ def _two_colouring(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...] | None
     return tuple(colour)
 
 
-def wilson_group(board: Puzzle) -> GiantGroup | None:
-    """The board's holonomy group by Wilson's theorem, or None where the
-    theorem does not decide it.
-
-    It decides boards whose simple graph (repeated edges only add
-    trivial tours) is 2-connected (at least three cells, no cut vertex)
-    and not a cycle, except those with exactly seven cells: that
-    excludes theta_0, whose group has order 120, without an isomorphism
-    test.  The group is A_{n-1} on a bipartite board, else S_{n-1}.
-    O(V + E), once per board (``Puzzle.wilson``).
-    """
-    return None if board.wilson is None else board.wilson[0]
-
-
-@lru_cache(maxsize=None)
-def _hole0_holonomy(board: Puzzle) -> tuple[PermGroup | GiantGroup, dict[int, tuple[int, ...]]]:
-    """The chain at hole 0 and the slot transports of the spanning tree
-    from hole 0 to every hole, built once per board."""
-    g = puzzle_groupoid(board)
-    _, transports = spanning_tree(g, 0)
-    return holonomy(g, 0).group, transports
-
-
-@lru_cache(maxsize=None)
-def _puzzle_holonomy_cached(board: Puzzle, base_hole: int) -> PermGroup | GiantGroup:
-    wilson = wilson_group(board)
-    if wilson is not None:
-        return wilson
-    group, transports = _hole0_holonomy(board)
-    # vertex groups of a connected groupoid are conjugate along any path
-    return group if base_hole == 0 else group.conjugate(transports[base_hole])
-
-
 def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup:
     """Holonomy of the puzzle groupoid at a hole position.
 
     The group acts on piece slots, i.e. the non-hole cells in increasing
-    order.  On a board that Wilson's theorem decides (see
-    :func:`wilson_group`) it is a ``GiantGroup``, and its ``generators``
-    are the standard pair of S_{n-1} or A_{n-1}, not hole tours.  On any
-    other board one chain is built, at hole 0, from the closed hole
-    tours along the fundamental cycles of the board graph; its
+    order.  On a board that Wilson's theorem decides (``Puzzle.wilson``)
+    it is a ``GiantGroup``, and its ``generators`` are the standard pair
+    of S_{n-1} or A_{n-1}, not hole tours.  On any other board it is
+    the group of ``Puzzle.hole0``, built once per board from the closed
+    hole tours along the fundamental cycles of the board graph; its
     ``generators`` are the tours that enlarged the group, those that
-    move the most pieces first.  Any other hole gets that chain
+    move the most pieces first.  Any other hole gets that group
     conjugated by the spanning tree's slot transport from hole 0
     (:meth:`PermGroup.conjugate`), so its ``generators`` are the hole-0
     tours carried to the hole: closed hole tours there, though not the
@@ -290,20 +265,26 @@ def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup
     """
     if not 0 <= base_hole < board.cell_count:
         raise BoardMismatch(f"no cell {base_hole}")
-    return _puzzle_holonomy_cached(board, base_hole)
+    if board.wilson is not None:
+        return board.wilson[0]
+    hol = board.hole0
+    # vertex groups of a connected groupoid are conjugate along any path
+    return hol.group if base_hole == 0 else hol.group.conjugate(hol.transports[base_hole])
 
 
 def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     """Can sliding moves turn state a into state b?
 
-    On a board that Wilson's theorem decides (:func:`wilson_group`) the
+    On a board that Wilson's theorem decides (``Puzzle.wilson``) the
     answer is a certificate: always yes under S_{n-1}; under A_{n-1},
     yes exactly when the cell permutation that sends a's cell of each
     piece to b's cell of it, and a's hole to b's hole, has the parity of
-    the two holes' colour change.  Every other board transports a's
-    pieces along a hole path to b's hole and tests the residual piece
-    permutation against the holonomy group's chain.  Holonomy quotients
-    away the path choice, so any path gives the same answer.
+    the two holes' colour change.  Every other board carries each state
+    back to hole 0 through the inverse of the spanning tree's transport
+    to its hole (``Puzzle.hole0``), and tests the permutation that sends
+    each piece's hole-0 slot in a to its hole-0 slot in b against the
+    hole-0 group.  Holonomy quotients away the path choice, so the tree
+    paths give the same answer as any other.
     """
     a.validate(board)
     b.validate(board)
@@ -320,18 +301,13 @@ def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
         for (_, here), (_, there) in zip(a.placement, b.placement):
             images[here] = there
         return _parity(images) == colours[a.hole] ^ colours[b.hole]
-    occ_a = {c: p for p, c in a.placement}
-    path = tree_path(bfs(a.hole, board.adjacency.__getitem__), b.hole)
-    occ_a = _apply_hole_path(board, occ_a, path)
-
-    slots = [c for c in range(board.cell_count) if c != b.hole]
-    slot_of = {c: i for i, c in enumerate(slots)}
-    cell_of_b = dict(b.placement)
-    images = [0] * len(slots)
-    for cell, piece in occ_a.items():
-        images[slot_of[cell]] = slot_of[cell_of_b[piece]]
-    residual = Perm(tuple(images))
-    return puzzle_holonomy(board, b.hole).contains(residual)
+    hol = board.hole0
+    back_a, back_b = _inv(hol.transports[a.hole]), _inv(hol.transports[b.hole])
+    # cell c sits at slot c - (c > h) of hole h
+    images = [0] * board.piece_count
+    for (_, here), (_, there) in zip(a.placement, b.placement):
+        images[back_a[here - (here > a.hole)]] = back_b[there - (there > b.hole)]
+    return hol.group.contains(Perm(tuple(images)))
 
 
 def reachable_bfs(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:

@@ -170,7 +170,7 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     report = validate_connection(c)
     if not report:
         raise InvalidTable(report.witness)
-    return Groupoid.on_graph(report.stars, c.graph.edges, lambda x, y: report.flips[(x, y)])
+    return Groupoid.on_graph(report.stars, c.graph.edges, report.flips)
 
 
 def connection_holonomy(c: GraphConnection, base: int = 0) -> PermGroup | GiantGroup:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import (
     CubicalComplex,
@@ -75,11 +75,11 @@ class Groupoid:
 
     @staticmethod
     def on_graph(objects: tuple[tuple, ...], edges: tuple[tuple[int, int], ...],
-                 flip: Callable[[int, int], tuple[int, ...]]) -> "Groupoid":
+                 flips: dict[tuple[int, int], tuple[int, ...]]) -> "Groupoid":
         """Objects joined along graph edges: dual edge ``rid`` is ``edges[rid]``,
-        which also names its ridge, and ``flip(x, y)`` is the flip x -> y."""
+        which also names its ridge, and ``flips[(x, y)]`` is the flip x -> y."""
         dual = DualMultigraph(len(objects), tuple((*e, rid) for rid, e in enumerate(edges)), edges)
-        return Groupoid(objects, dual, {(x, y, rid): flip(x, y) for a, b, rid in dual.edges
+        return Groupoid(objects, dual, {(x, y, rid): flips[(x, y)] for a, b, rid in dual.edges
                                         for x, y in ((a, b), (b, a))})
 
     @staticmethod

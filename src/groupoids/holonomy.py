@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .complexes import (
@@ -62,6 +61,8 @@ class HolonomyResult:
     base_vertices: tuple
     signed_generators: tuple[SignedPerm, ...] | None
     outer_order: int
+    # slot transport from the base to every reached object, in BFS order
+    transports: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @property
     def vertex_bijections(self) -> tuple[dict, ...]:
@@ -104,9 +105,8 @@ def is_strongly_connected(K: SimplicialComplex | CubicalComplex) -> bool:
     return facet_adjacency(K).is_connected()
 
 
-def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
-    """BFS tree from the base with lowest-ridge-id tie-breaking, or a
-    seeded shuffle of the exploration order when rng is given.
+def spanning_tree(g: Groupoid, base: int):
+    """BFS tree from the base with lowest-ridge-id tie-breaking.
 
     Returns the tree edges as (i, j, ridge) with i < j, and the slot
     transport from the base to every reached object, in BFS order; each
@@ -117,10 +117,7 @@ def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        edges = list(g.dual.adjacency[u])
-        if rng is not None:
-            rng.shuffle(edges)
-        for rid, v in edges:
+        for rid, v in g.dual.adjacency[u]:
             if v not in transports:
                 transports[v] = _mul(transports[u], g.flips[(u, v, rid)])
                 tree.add((min(u, v), max(u, v), rid))
@@ -128,22 +125,22 @@ def spanning_tree(g: Groupoid, base: int, rng: random.Random | None = None):
     return tree, transports
 
 
-def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
-             require_connected: bool = True) -> HolonomyResult:
+def holonomy(g: Groupoid, base: int = 0, require_connected: bool = True) -> HolonomyResult:
     """Holonomy group at a base object of a groupoid.
 
     The group (``HolonomyResult.group``, built on first use) is a
     ``GiantGroup`` when :func:`permgroup.jordan_giant` certifies the loops
     as the symmetric or alternating group; its ``generators`` are then the
     standard pair.  Otherwise it is the stabilizer chain of the loops.
-    ``HolonomyResult.generators`` lists every loop either way.
+    ``HolonomyResult.generators`` lists every loop either way, and
+    ``HolonomyResult.transports`` keeps the spanning tree's transports.
 
     With ``require_connected`` unset, a disconnected dual graph yields
     the holonomy of the base's component.
     """
     if not 0 <= base < g.object_count:
         raise NoSuchObject(f"base {base} is not an object; objects are 0..{g.object_count - 1}")
-    tree, to_base = spanning_tree(g, base, rng)
+    tree, to_base = spanning_tree(g, base)
     if require_connected and len(to_base) != g.object_count:
         raise NotConnected(
             f"dual graph reaches {len(to_base)} of {g.object_count} objects from base")
@@ -174,6 +171,7 @@ def holonomy(g: Groupoid, base: int = 0, rng: random.Random | None = None,
         base_vertices=g.object_vertices[base],
         signed_generators=signed,
         outer_order=outer,
+        transports=to_base,
     )
 
 

@@ -100,13 +100,13 @@ def graph_by_name(name: str) -> Graph:
     return family(n)
 
 
-def check_budget(g: int, h: int, budget: int = HOM_BUDGET) -> None:
+def check_budget(g: int, h: int) -> None:
     """Refuse, from the vertex counts alone, the complex between graphs
     on g and h vertices when its (2^h - 1)^g candidate supports exceed
-    the budget."""
-    cap = budget.bit_length()
+    ``HOM_BUDGET``."""
+    cap = HOM_BUDGET.bit_length()
     base = (1 << min(h, cap + 1)) - 1     # above the budget once h > cap
-    if (base > 1 and g > cap) or base ** g > budget:
+    if (base > 1 and g > cap) or base ** g > HOM_BUDGET:
         raise TooLarge("candidate support count exceeds the enumeration budget")
 
 
@@ -148,21 +148,21 @@ def _validate_cell(G: Graph, H: Graph, cell: HomCell) -> bool:
     return all(masks[b] & ~_common(H.adjacency_masks, full, masks[a]) == 0 for a, b in G.edges)
 
 
-def hom_complex(G: Graph, H: Graph, budget: int = HOM_BUDGET) -> tuple[HomCell, ...]:
+def hom_complex(G: Graph, H: Graph) -> tuple[HomCell, ...]:
     """Every cell of the complex between G and H, graded by dimension.
 
     Enumeration backtracks vertex by vertex over the nonempty submasks,
     in increasing order, of the common neighborhood of the already
     assigned neighbors; cells come out in lexicographic mask order, so
     ids are reproducible.  The walk keeps its own stack, ``masks``, so G
-    may be deeper than the interpreter's recursion limit.  ``budget``
+    may be deeper than the interpreter's recursion limit.  ``HOM_BUDGET``
     refuses G and H by their candidate count before the walk, and
     ``HOM_CELL_BUDGET`` refuses a complex with more cells than that:
     each batch of cells that share all but the last mask is counted
     before it is built.
     """
     n, full = G.vertex_count, (1 << H.vertex_count) - 1
-    check_budget(n, H.vertex_count, budget)
+    check_budget(n, H.vertex_count)
     before = [[u for u in G.adjacency[i] if u < i] for i in range(n)]
     adj = H.adjacency_masks
     cells: list[HomCell] = []

@@ -22,7 +22,7 @@ from .complexes import (
     tree_path,
 )
 from .groupoid import Groupoid
-from .holonomy import NotConnected, holonomy, spanning_tree
+from .holonomy import NotConnected, holonomy
 from .permgroup import all_in_even_subgroup
 
 
@@ -197,8 +197,7 @@ def quotient_identify(K: CubicalComplex, u: int, v: int) -> CubicalComplex:
     return build_cubical(cubes)
 
 
-def lattice_parity_coloring(vertices: Sequence[tuple[int, ...]],
-                            mode: str = "auto") -> TwoColoring:
+def lattice_parity_coloring(vertices: Sequence[tuple[int, ...]]) -> TwoColoring:
     """Parity 2-coloring of lattice or sign-vector coordinates.
 
     Sign vectors (every entry +-1) are colored by the parity of their
@@ -206,16 +205,9 @@ def lattice_parity_coloring(vertices: Sequence[tuple[int, ...]],
     rule flips across any lattice edge, so the coloring is proper on
     the 1-skeleton of any complex drawn in the lattice.
     """
-    if mode == "auto":
-        sign_form = all(all(c in (-1, 1) for c in v) for v in vertices)
-        mode = "signs" if sign_form else "sum"
-    if mode == "signs":
-        color = {i: sum(1 for c in v if c < 0) % 2 for i, v in enumerate(vertices)}
-    elif mode == "sum":
-        color = {i: sum(v) % 2 for i, v in enumerate(vertices)}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return TwoColoring(color)
+    if all(all(c in (-1, 1) for c in v) for v in vertices):
+        return TwoColoring({i: sum(1 for c in v if c < 0) % 2 for i, v in enumerate(vertices)})
+    return TwoColoring({i: sum(v) % 2 for i, v in enumerate(vertices)})
 
 
 def transport_coloring(K: SimplicialComplex | CubicalComplex) -> RainbowColoring:
@@ -236,7 +228,7 @@ def transport_coloring(K: SimplicialComplex | CubicalComplex) -> RainbowColoring
         raise NontrivialHolonomy(f"holonomy has order {base_hol.order}")
 
     color: dict[int, int] = {}
-    for obj, slots in spanning_tree(g, 0)[1].items():
+    for obj, slots in base_hol.transports.items():
         for c, s in enumerate(slots):
             dst = g.object_vertices[obj][s]
             if color.setdefault(dst, c) != c:

@@ -36,7 +36,6 @@ from groupoids.games import (
     reachable,
     reachable_bfs,
 )
-from groupoids.games import _puzzle_holonomy_cached
 from groupoids.groupoid import Groupoid, tribar_groupoid
 from groupoids.holonomy import (
     closed_path_oracle,
@@ -78,7 +77,6 @@ def criterion(name):
 
 @criterion("1 fifteen-puzzle holonomy and the 15-14 problem")
 def test_c1_fifteen_puzzle():
-    _puzzle_holonomy_cached.cache_clear()
     started = time.monotonic()
     board, start, swapped = fifteen_puzzle_states()
     group = puzzle_holonomy(board, base_hole=start.hole)

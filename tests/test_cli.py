@@ -131,6 +131,20 @@ def test_hom_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("g,report", [
+    ("c5", "fvector,euler"),
+    ("p3", "fvector,euler"),
+    ("k1", "fvector,euler"),
+    ("k2", "fvector,euler,free-action"),
+    ("p2", "fvector,euler,free-action"),
+], ids=["c5", "p3", "k1", "k2", "p2"])
+def test_hom_default_report_asks_free_action_only_of_two_vertices(capsys, g, report):
+    default = run(capsys, "--format", "json", "hom", "--g", g, "--h", "k4")
+    assert default[0] == 0
+    assert default == run(capsys, "--format", "json", "hom", "--g", g, "--h", "k4",
+                          "--report", report)
+
+
 def test_connection_command(capsys):
     code, out = run(capsys, "--format", "json", "connection",
                     corpus_file("c4-connection.json"))

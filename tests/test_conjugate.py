@@ -93,19 +93,21 @@ def test_every_hole_matches_a_chain_built_there(board):
         assert all(carried.contains(p) for p in fresh.generators)
 
 
-def clear_caches() -> None:
-    games._puzzle_holonomy_cached.cache_clear()
-    games._hole0_holonomy.cache_clear()
-
-
 @pytest.mark.parametrize("board", [THETA0, TWIN_3X3, cycle(8)], ids=["theta0", "twin3x3", "8-cycle"])
-def test_group_does_not_depend_on_the_order_of_the_holes(board):
+def test_group_does_not_depend_on_the_order_of_the_holes(monkeypatch, board):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:])
+        return holonomy(*args, **kwargs)
+
+    monkeypatch.setattr(games, "holonomy", counted)
     holes = range(board.cell_count)
-    clear_caches()
-    forward = {h: puzzle_holonomy(board, h) for h in holes}
-    assert games._hole0_holonomy.cache_info().misses == 1     # one chain per board
-    clear_caches()
-    backward = {h: puzzle_holonomy(board, h) for h in reversed(holes)}
+    forward_board, backward_board = (puzzle_of(board.cell_count, board.edges) for _ in range(2))
+    forward = {h: puzzle_holonomy(forward_board, h) for h in holes}
+    assert builds == [(0,)]     # one hole-0 build per board
+    backward = {h: puzzle_holonomy(backward_board, h) for h in reversed(holes)}
+    assert builds == [(0,), (0,)]
     for h in holes:
         assert forward[h].generators == backward[h].generators
         assert forward[h].base == backward[h].base

@@ -133,6 +133,39 @@ def test_graph_walks_go_through_the_shared_bfs():
                          "games._has_cut_vertex", "games.reachable_bfs"}
 
 
+# Unbounded caches kept on purpose: none can grow with the inputs.
+UNBOUNDED_CACHES = {
+    "complexes._addr_index": "keyed by one corner's 0/1 coordinates: 2^k keys per cube dimension k",
+    "complexes._face_template": "keyed by the cube dimension k",
+    "complexes._faces_of_dim": "keyed by the cube dimension k and a face dimension",
+    "cli.build_parser": "takes no arguments: one parser per process",
+}
+
+
+def _is_unbounded_cache(node: ast.AST) -> bool:
+    """A reference to ``functools.cache``, or an ``lru_cache(maxsize=None)`` call."""
+    if isinstance(node, ast.Name) and node.id == "cache" \
+            or isinstance(node, ast.Attribute) and node.attr == "cache":
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "lru_cache":
+        return False
+    maxsize = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in maxsize)
+
+
+def test_no_unbounded_cache_outside_the_allowlist():
+    """A cache with no size bound, keyed by boards, complexes or groups,
+    holds every input a process ever sees; keep such results on the
+    object they belong to.  Each unbounded cache left is on the allowlist
+    with the reason its keys stay few."""
+    found = {f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+             for owner, node in _nodes_by_owner(path) if _is_unbounded_cache(node)}
+    assert found == set(UNBOUNDED_CACHES)
+
+
 # Paper API kept on purpose, though only the tests call it.
 PAPER_API = {
     "face_poset": "the face poset, the paper's definition of a complex's cells",

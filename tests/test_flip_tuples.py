@@ -21,7 +21,7 @@ import pytest
 
 from groupoids.complexes import CubicalComplex, SimplicialComplex
 from groupoids.corpus import bundled_dir, random_corpus
-from groupoids.games import Puzzle, grid_puzzle, puzzle_groupoid, wilson_group
+from groupoids.games import Puzzle, grid_puzzle, puzzle_groupoid
 from groupoids.graphconn import connection_groupoid, cycle_connection, rotation_connection
 from groupoids.groupoid import Groupoid, NotAdjacent, tribar_groupoid
 from groupoids.holonomy import holonomy
@@ -206,7 +206,7 @@ def _boards():
         "cut-vertex": Puzzle(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2))),
         "tail": Puzzle(5, ((0, 1), (1, 2), (2, 3), (3, 0), (3, 4))),
     }
-    assert all(wilson_group(b) is None for b in boards.values())
+    assert all(b.wilson is None for b in boards.values())
     return list(boards.items())
 
 

@@ -5,7 +5,7 @@ import pytest
 from test_flip_tuples import slot_perm
 from test_jordan import NOT_GIANT, loops_groupoid, random_connection
 
-from groupoids.complexes import VertexMap, build_simplicial
+from groupoids.complexes import DualMultigraph, VertexMap, build_simplicial
 from groupoids.corpus import (
     bundled_dir,
     cube_skeleton,
@@ -66,20 +66,43 @@ def test_not_connected_raises():
         holonomy_group(K)
 
 
-@pytest.mark.parametrize("K", [
-    cycle_complex(3),
-    simplex_boundary(3),
-    single_cube(3),
-    grid_patch(2, 2)[0],
-    strip_complex(4, twisted=True),
-    octahedron_boundary(),
-])
-def test_order_invariant_of_base_and_tree(K):
-    """Every base facet, and seeded shuffles of the spanning tree, give
-    one order and recognition tag."""
+def renumbered_ridges(g: Groupoid, seed: int) -> tuple[Groupoid, list[int]]:
+    """The groupoid with its ridge ids permuted by a seeded shuffle, the
+    flips re-keyed to match, and the permutation (old id -> new id).  The
+    spanning tree breaks ties by lowest ridge id, so this varies the tree."""
+    new = list(range(len(g.dual.ridges)))
+    random.Random(seed).shuffle(new)
+    ridges = [()] * len(new)
+    for rid, ridge in enumerate(g.dual.ridges):
+        ridges[new[rid]] = ridge
+    dual = DualMultigraph(g.object_count, tuple((i, j, new[rid]) for i, j, rid in g.dual.edges),
+                          tuple(ridges))
+    flips = {(u, v, new[rid]): flip for (u, v, rid), flip in g.flips.items()}
+    return Groupoid(g.object_vertices, dual, flips, g.corner_maps), new
+
+
+# each complex, and whether a BFS tree from facet 0 has a choice to make:
+# it has none when every other facet is adjacent to facet 0
+@pytest.mark.parametrize("K,tree_varies", [
+    (cycle_complex(3), False),
+    (simplex_boundary(3), False),
+    (single_cube(3), False),
+    (grid_patch(2, 2)[0], True),
+    (strip_complex(4, twisted=True), True),
+    (octahedron_boundary(), True),
+], ids=[f"K{i}" for i in range(6)])
+def test_order_invariant_of_base_and_tree(K, tree_varies):
+    """Every base facet, and the trees of ridge ids renumbered by seeds
+    1-3, give one order and recognition tag."""
     g = Groupoid.from_complex(K)
     runs = [holonomy(g, base) for base in range(g.object_count)]
-    runs += [holonomy(g, 0, rng=random.Random(seed)) for seed in (1, 2, 3)]
+    trees = {runs[0].tree_edges}
+    for seed in (1, 2, 3):
+        renumbered, new = renumbered_ridges(g, seed)
+        runs.append(holonomy(renumbered, 0))
+        old = {n: rid for rid, n in enumerate(new)}
+        trees.add(tuple(sorted((i, j, old[rid]) for i, j, rid in runs[-1].tree_edges)))
+    assert (len(trees) > 1) == tree_varies
     assert len({(r.order, r.tag) for r in runs}) == 1
 
 

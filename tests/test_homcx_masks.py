@@ -12,6 +12,7 @@ from typing import Sequence
 
 import pytest
 
+from groupoids import homcx
 from groupoids.homcx import (
     Graph,
     HomCell,
@@ -167,14 +168,15 @@ BUDGET = 2 * 10 ** 5     # keeps the reference fast; larger pairs compare as Too
 
 
 @pytest.mark.parametrize("G,H", CASES, ids=IDS)
-def test_mask_enumeration_matches_reference(G, H):
+def test_mask_enumeration_matches_reference(monkeypatch, G, H):
+    monkeypatch.setattr(homcx, "HOM_BUDGET", BUDGET)
     try:
         ref = ref_hom_complex(G, H, BUDGET)
     except TooLarge:
         with pytest.raises(TooLarge):
-            hom_complex(G, H, BUDGET)
+            hom_complex(G, H)
         return
-    cells = hom_complex(G, H, BUDGET)
+    cells = hom_complex(G, H)
     assert [c.eta for c in cells] == [r.eta for r in ref]
     assert [c.dim for c in cells] == [r.dim for r in ref]
     assert f_vector(cells) == ref_f_vector(ref)
@@ -218,13 +220,14 @@ def test_validation_rejects_what_the_reference_rejects():
 
 
 @pytest.mark.parametrize("budget", [1, 2, 15, 16, 961, 10 ** 5, 10 ** 7])
-def test_check_budget_is_the_candidate_count_rule(budget):
+def test_check_budget_is_the_candidate_count_rule(monkeypatch, budget):
     # the closed form the check avoids computing for large vertex counts
+    monkeypatch.setattr(homcx, "HOM_BUDGET", budget)
     for g in range(30):
         for h in range(40):
             over = ((1 << h) - 1) ** g > budget
             try:
-                check_budget(g, h, budget)
+                check_budget(g, h)
                 assert not over, (g, h)
             except TooLarge:
                 assert over, (g, h)

@@ -1,8 +1,9 @@
 """``reachable`` against the explicit state search ``reachable_bfs``.
 
 On a board that Wilson's theorem decides, ``reachable`` answers from the
-parity certificate; every other board transports the pieces along a hole
-path and sifts the residual through the chain.  Both are checked at
+parity certificate; every other board carries both states back to hole 0
+through the spanning tree's transports and sifts the residual through
+the one hole-0 chain.  Both are checked at
 every hole pair against the search, on each side of the theorem, and the
 guards check which of the two paths a query takes.  The 3x3 board and a
 3x4 board with a diagonal, too large for the search, are checked against
@@ -175,38 +176,34 @@ def count_walks(monkeypatch) -> list:
 @pytest.mark.parametrize("puzzle", [grid_puzzle(3, 3), with_diagonal(2, 3), grid_puzzle(5, 5)],
                          ids=["3x3", "2x3+diagonal", "5x5"])
 def test_wilson_board_builds_no_hole_path_and_no_chain(monkeypatch, puzzle):
-    def no_transport(*args, **kwargs):
-        raise AssertionError("the transport path ran")
-
     assert puzzle.wilson is not None      # the verdict, built once per board
     calls = count_walks(monkeypatch)
-    monkeypatch.setattr(games, "tree_path", no_transport)
-    monkeypatch.setattr(games, "_apply_hole_path", no_transport)
-    before = games._puzzle_holonomy_cached.cache_info()
     rng = random.Random(5)
     for _ in range(20):
         a = random_state(puzzle, rng.randrange(puzzle.cell_count), rng)
         b = random_state(puzzle, rng.randrange(puzzle.cell_count), rng)
         assert reachable(puzzle, a, b) in (True, False)
     assert calls == []
-    after = games._puzzle_holonomy_cached.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert "hole0" not in vars(puzzle)
 
 
 @pytest.mark.parametrize("puzzle", [grid_puzzle(2, 2), BOWTIE, THETA0],
                          ids=["2x2", "bowtie", "theta0"])
-def test_other_boards_keep_the_hole_path_and_the_chain(monkeypatch, puzzle):
-    assert puzzle.wilson is None
-    calls = count_walks(monkeypatch)
-    before = games._puzzle_holonomy_cached.cache_info()
+def test_other_boards_walk_no_hole_path_per_query(monkeypatch, puzzle):
+    """The hole-0 group and transports, read once, answer every query:
+    no search and no chain is built per query."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query searched the board or built a chain")
+
+    assert puzzle.wilson is None and puzzle.hole0.group.order > 1
+    monkeypatch.setattr(games, "bfs", refuse)
+    monkeypatch.setattr(games, "holonomy", refuse)
     rng = random.Random(6)
-    for _ in range(5):
-        a = random_state(puzzle, rng.randrange(puzzle.cell_count), rng)
-        b = random_state(puzzle, rng.randrange(puzzle.cell_count), rng)
-        reachable(puzzle, a, b)
-    after = games._puzzle_holonomy_cached.cache_info()
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 5
-    assert len(calls) == 5      # one hole path per query
+    pairs = [(a, b) for a, b in hole_pairs(puzzle) if a != b]
+    for a_hole, b_hole in rng.sample(pairs, 5):
+        a = random_state(puzzle, a_hole, rng)
+        for b in (slide(puzzle, a, b_hole, rng), random_state(puzzle, b_hole, rng)):
+            assert reachable(puzzle, a, b) == reachable_bfs(puzzle, a, b), (a, b)
 
 
 @pytest.mark.parametrize("hole,placement,message", [

@@ -21,7 +21,6 @@ from groupoids.games import (
     grid_puzzle,
     puzzle_groupoid,
     puzzle_holonomy,
-    wilson_group,
 )
 from groupoids.holonomy import holonomy
 from groupoids.permgroup import (
@@ -122,7 +121,7 @@ def test_wilson_boards_are_the_two_connected_non_cycles():
     for board in SMALL_BOARDS:
         simple_cycle = all(len(set(ns)) == 2 for ns in board.adjacency)
         expect_giant = two_connected_by_search(board) and not simple_cycle
-        assert (wilson_group(board) is not None) == expect_giant, board
+        assert (board.wilson is not None) == expect_giant, board
         giants += expect_giant
     # 10 and 238 labelled 2-connected graphs on 4 and 5 cells (OEIS
     # A013922), less 3 and 12 labelled cycles
@@ -133,7 +132,7 @@ def test_small_boards_at_every_hole():
     rng = random.Random(1)
     assert len(SMALL_CLASSES) == 1 + 2 + 6 + 21
     for board in SMALL_CLASSES:
-        giant = wilson_group(board) is not None
+        giant = board.wilson is not None
         for hole in range(board.cell_count):
             assert isinstance(assert_same_group(board, hole, rng), GiantGroup) == giant
 
@@ -144,7 +143,7 @@ def test_small_boards_with_a_doubled_edge():
         for extra in board.edges:
             doubled = Puzzle(cell_count=board.cell_count, edges=board.edges + (extra,))
             assert len(doubled.edges) == len(board.edges) + 1
-            assert (wilson_group(doubled) is None) == (wilson_group(board) is None)
+            assert (doubled.wilson is None) == (board.wilson is None)
             for hole in range(board.cell_count):
                 assert_same_group(doubled, hole, rng)
 
@@ -177,7 +176,7 @@ def test_seven_cell_theta_graphs_keep_the_chain(paths, order, tag):
     board = theta_board(*paths)
     assert board.cell_count == 7
     assert two_connected_by_search(board)
-    assert wilson_group(board) is None
+    assert board.wilson is None
     rng = random.Random(3)
     for hole in range(7):
         group = assert_same_group(board, hole, rng)
