@@ -109,7 +109,10 @@ def cmd_invariants(args) -> int:
 def _board(spec: str):
     try:
         m, n = spec.lower().split("x")
-        return grid_puzzle(int(m), int(n))
+        m, n = int(m), int(n)
+        if m < 1 or n < 1:
+            raise ValueError("the dimensions must be positive")
+        return grid_puzzle(m, n)
     except (ValueError, DegenerateBoard) as e:
         raise ParseError(f"bad board {spec!r}: {e}") from e
 

@@ -18,11 +18,14 @@ under S_{n-1}, and under A_{n-1} the cell permutation, with the hole
 counted as a piece, must have the parity of the colour change of the
 hole (each move is one transposition and flips the hole's colour).
 Both read one verdict and 2-colouring per board (``Puzzle.wilson``).
-Every other board (cycles, theta_0, boards with a cut vertex, the 2x2
-board) goes through ``holonomy.holonomy`` once, at hole 0
-(``Puzzle.hole0``).  Its reach queries carry both states back to hole 0
-through the spanning tree's transports and test the residual
-permutation against that one group.
+That parity is the xor of two parities that each belong to one state,
+so a state computes its own once (``LabelledState.facts``, with its
+placement faults and label tuple), and a query against it costs O(1)
+after that.  Every other board (cycles, theta_0, boards with a cut
+vertex, the 2x2 board) goes through ``holonomy.holonomy`` once, at
+hole 0 (``Puzzle.hole0``), within ``PUZZLE_SLOT_BUDGET``.  Its reach
+queries carry both states back to hole 0 through the spanning tree's
+transports and test the residual permutation against that one group.
 
 Closed-tour convention: moving the hole one step swaps it with the
 piece next to it, so a hole tour around a closed walk shifts the pieces
@@ -38,12 +41,16 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import bfs
 from .groupoid import Groupoid, _exchange
 from .holonomy import HolonomyResult, holonomy
+from .homcx import TooLarge
 from .permgroup import GiantGroup, Perm, PermGroup, _inv, _parity
+
+
+PUZZLE_SLOT_BUDGET = 10 ** 6    # hole-piece slots n (n - 1), at about 100 bytes each
 
 
 class DegenerateBoard(ValueError):
@@ -115,7 +122,8 @@ class Puzzle:
     def hole0(self) -> HolonomyResult:
         """The holonomy of the puzzle groupoid at hole 0, with the
         spanning tree's slot transports to every hole, built once per
-        board; only boards that Wilson's theorem leaves undecided read it."""
+        board; only boards that Wilson's theorem leaves undecided read it.
+        Raises ``TooLarge`` past ``PUZZLE_SLOT_BUDGET`` (``puzzle_groupoid``)."""
         return holonomy(puzzle_groupoid(self), 0)
 
 
@@ -135,10 +143,20 @@ def grid_puzzle(m: int, n: int) -> Puzzle:
 
 
 @lru_cache(maxsize=4096)
-def _shared_pair(pair: tuple[str, int]) -> tuple[str, int]:
-    """One (label, cell) tuple per distinct pair, so that many states of
-    one board share their pairs instead of each holding its own."""
-    return pair
+def _shared(value: tuple) -> tuple:
+    """One tuple per distinct value, so that many states of one board
+    share their (label, cell) pairs and their label tuple instead of
+    each holding its own."""
+    return value
+
+
+class _StateFacts(NamedTuple):
+    """What a labelled state says about itself, whatever the board."""
+
+    fault: str | None           # the first placement fault, if any
+    fills: bool                 # the cells and the hole are 0..count
+    labels: tuple[str, ...]     # the piece labels, in order
+    parity: int | None          # of sigma, when the cells fill 0..count
 
 
 @dataclass(frozen=True)
@@ -154,20 +172,36 @@ class LabelledState:
     @staticmethod
     def from_mapping(hole: int, placement: dict) -> "LabelledState":
         return LabelledState(hole=hole, placement=tuple(
-            _shared_pair((str(k), int(v))) for k, v in placement.items()))
+            _shared((str(k), int(v))) for k, v in placement.items()))
+
+    @cached_property
+    def facts(self) -> _StateFacts:
+        """The state's board-free facts, computed on first use and kept
+        (not a field, so equality and hashing still see only the state).
+
+        sigma sends piece i, in label order, to its cell, and the index
+        count (the number of pieces) to the hole.  Two states' sigmas
+        give the cell permutation that takes one to the other, so its
+        parity is the xor of theirs and needs no board."""
+        labels = _shared(tuple(map(itemgetter(0), self.placement)))
+        cells = tuple(map(itemgetter(1), self.placement))
+        count = len(cells)
+        occupied = set(cells)
+        fault = ("two pieces share a cell" if len(occupied) != count else
+                 "two cells hold the same piece label" if len(set(labels)) != count else None)
+        occupied.add(self.hole)
+        fills = occupied == set(range(count + 1))
+        return _StateFacts(fault, fills, labels, _parity(cells + (self.hole,)) if fills else None)
 
     def validate(self, board: Puzzle) -> None:
-        n, count = board.cell_count, len(self.placement)
+        n = board.cell_count
         if not 0 <= self.hole < n:
             raise BoardMismatch(f"no cell {self.hole}")
-        occupied = set(map(itemgetter(1), self.placement))
-        if len(occupied) != count:
-            raise BoardMismatch("two pieces share a cell")
-        if len(set(map(itemgetter(0), self.placement))) != count:
-            raise BoardMismatch("two cells hold the same piece label")
-        occupied.add(self.hole)
-        # n - 1 pieces and the hole on n distinct cells that include 0..n-1
-        if count != n - 1 or len(occupied) != n or not occupied.issuperset(range(n)):
+        facts = self.facts
+        if facts.fault is not None:
+            raise BoardMismatch(facts.fault)
+        # n - 1 pieces and the hole on the n cells 0..n-1
+        if len(self.placement) != n - 1 or not facts.fills:
             raise BoardMismatch("placement does not cover the non-hole cells")
 
 
@@ -197,8 +231,14 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
     cells, in increasing order, and stand for the pieces on them.  Dual
     edge ``rid`` is board edge ``rid``, and the flip u -> v moves the
     hole from u to v: it sends v to u and fixes every other cell.
+    Each of the n objects and each flip holds n - 1 slots, so a board
+    with more than ``PUZZLE_SLOT_BUDGET`` slots n (n - 1) is refused
+    with ``TooLarge`` before anything is built.
     """
     n = board.cell_count
+    if n * (n - 1) > PUZZLE_SLOT_BUDGET:
+        raise TooLarge(f"a board of {n} cells exceeds the budget of "
+                       f"{PUZZLE_SLOT_BUDGET} hole-piece slots")
     cells = tuple(range(n))
     # cell y sits at slot y - (y > x) of object x
     return Groupoid.on_graph(tuple(cells[:u] + cells[u + 1:] for u in cells), board.edges,
@@ -279,7 +319,9 @@ def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     answer is a certificate: always yes under S_{n-1}; under A_{n-1},
     yes exactly when the cell permutation that sends a's cell of each
     piece to b's cell of it, and a's hole to b's hole, has the parity of
-    the two holes' colour change.  Every other board carries each state
+    the two holes' colour change; that parity is the xor of the two
+    states' own, read from ``LabelledState.facts``, so no permutation is
+    built per query.  Every other board carries each state
     back to hole 0 through the inverse of the spanning tree's transport
     to its hole (``Puzzle.hole0``), and tests the permutation that sends
     each piece's hole-0 slot in a to its hole-0 slot in b against the
@@ -289,21 +331,17 @@ def reachable(board: Puzzle, a: LabelledState, b: LabelledState) -> bool:
     a.validate(board)
     b.validate(board)
     # validated placements are sorted by label with no label twice
-    if list(map(itemgetter(0), a.placement)) != list(map(itemgetter(0), b.placement)):
+    if a.facts.labels != b.facts.labels:
         raise BoardMismatch("states use different piece labels")
     if board.wilson is not None:
         colours = board.wilson[1]
-        if colours is None:
-            return True
-        # the labels match in order, so the pairs line up piece by piece
-        images = [0] * board.cell_count
-        images[a.hole] = b.hole
-        for (_, here), (_, there) in zip(a.placement, b.placement):
-            images[here] = there
-        return _parity(images) == colours[a.hole] ^ colours[b.hole]
+        # the cell permutation is sigma_b after the inverse of sigma_a
+        return colours is None or \
+            a.facts.parity ^ b.facts.parity == colours[a.hole] ^ colours[b.hole]
     hol = board.hole0
     back_a, back_b = _inv(hol.transports[a.hole]), _inv(hol.transports[b.hole])
-    # cell c sits at slot c - (c > h) of hole h
+    # cell c sits at slot c - (c > h) of hole h; the labels match in
+    # order, so the pairs line up piece by piece
     images = [0] * board.piece_count
     for (_, here), (_, there) in zip(a.placement, b.placement):
         images[back_a[here - (here > a.hole)]] = back_b[there - (there > b.hole)]

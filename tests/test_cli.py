@@ -191,6 +191,22 @@ def test_corpus_count_below_zero_is_input_error(capsys):
     assert code == 0 and "I<=NaCl held 0/0" in out
 
 
+@pytest.mark.parametrize("board", ["-2x-3", "0x5", "3x0", "-1x4"])
+def test_board_dimensions_below_one_are_input_error(capsys, board):
+    assert main(["puzzle", "holonomy", f"--board={board}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad board {board!r}: the dimensions must be positive\n"
+
+
+def test_undecided_board_past_the_slot_budget_is_input_error(capsys):
+    assert main(["puzzle", "holonomy", "--board", "1x2000", "--base", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a board of 2000 cells exceeds the budget of "
+                            "1000000 hole-piece slots\n")
+
+
 def test_main_calls_share_one_parser(capsys):
     build_parser.cache_clear()
     assert run(capsys, "hom", "--g", "k2", "--h", "k3")[0] == 0

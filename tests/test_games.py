@@ -1,10 +1,16 @@
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from groupoids import games
 from groupoids.corpus import simplex_boundary
 from groupoids.games import (
+    PUZZLE_SLOT_BUDGET,
     BoardMismatch,
     DegenerateBoard,
     LabelledState,
@@ -18,6 +24,7 @@ from groupoids.games import (
 )
 from groupoids.groupoid import Groupoid
 from groupoids.holonomy import holonomy
+from groupoids.homcx import TooLarge
 from groupoids.permgroup import recognize
 
 
@@ -158,3 +165,46 @@ def test_reachable_is_equivalence_relation():
             for c in states:
                 if reachable(board, a, b) and reachable(board, b, c):
                     assert reachable(board, a, c)
+
+
+def test_undecided_board_past_the_slot_budget_is_refused_before_building(monkeypatch):
+    """A 1x2000 path holds 2000 * 1999 slots, past the budget: it is
+    refused before any object tuple or flip is made."""
+    def refuse(*args):
+        raise AssertionError("a flip was built")
+
+    board = grid_puzzle(1, 2000)
+    assert board.wilson is None and 2000 * 1999 > PUZZLE_SLOT_BUDGET
+    monkeypatch.setattr(games, "_exchange", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="2000 cells exceeds the budget"):
+            puzzle_holonomy(board, 3)
+        with pytest.raises(TooLarge):
+            reachable(board, ordered_state(board), ordered_state(board, hole=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20         # the object tuples alone would take 32 MB
+    assert "hole0" not in vars(board)
+
+
+def test_slot_budget_bounds_n_times_n_minus_1(monkeypatch):
+    monkeypatch.setattr(games, "PUZZLE_SLOT_BUDGET", 20)
+    assert puzzle_holonomy(grid_puzzle(1, 5), 2).order == 1      # 5 * 4 slots
+    assert puzzle_holonomy(grid_puzzle(2, 2), 1).order == 3
+    with pytest.raises(TooLarge, match="a board of 6 cells"):
+        puzzle_holonomy(grid_puzzle(1, 6), 0)
+    # a board that Wilson's theorem decides builds no groupoid at all
+    assert puzzle_holonomy(grid_puzzle(3, 3), 4).order == math.factorial(8) // 2
+
+
+def test_puzzle_demo_prints_its_verdicts():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "puzzle_demo.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "4x4 swapped-pair position: unreachable" in lines
+    assert "2x2 with hole fixed: 3 of 6 arrangements reachable" in lines
+    assert lines[0] == "2x2: holonomy order 3 (cyclic(3)), index 2 in the full piece group"
