@@ -51,7 +51,6 @@ from .graphconn import (
 from .groupoid import (
     BrokenPath,
     Groupoid,
-    NotAdjacent,
     TransportPath,
     transport,
     tribar_groupoid,

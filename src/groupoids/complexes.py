@@ -16,7 +16,7 @@ without any geometric embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -127,7 +127,7 @@ class SimplicialComplex:
     """A pure simplicial complex listed by its facets."""
 
     vertex_count: int
-    facets: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[int, ...], ...]  # sorted tuples, sorted (see `build_simplicial`)
 
     @property
     def dim(self) -> int:
@@ -146,10 +146,8 @@ class SimplicialComplex:
     @cached_property
     def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges of the vertex-edge graph (the 1-skeleton)."""
-        if self.dim == 0:
-            return ()
-        edges = {fs for fs, d in self.faces.items() if d == 1}
-        return tuple(sorted(tuple(sorted(e)) for e in edges))
+        # facets are sorted, so each vertex pair comes out sorted
+        return tuple(sorted({e for f in self.facets for e in combinations(f, 2)}))
 
     @cached_property
     def dual(self) -> DualMultigraph:
@@ -461,6 +459,9 @@ class DualMultigraph:
     node_count: int
     edges: tuple[tuple[int, int, int], ...]  # (facet_i, facet_j, ridge_id), i < j
     ridges: tuple[tuple[int, ...], ...]      # ridge_id -> sorted vertex tuple
+    # edge e's ridge is ridge positions[e][0] of facet_i and positions[e][1]
+    # of facet_j (see `_facet_ridges`); empty when no complex built the graph
+    positions: tuple[tuple[int, int], ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -485,12 +486,14 @@ class DualMultigraph:
         return self.node_count <= 1 or len(self.components()) == 1
 
 
-def _facet_ridges(K: SimplicialComplex | CubicalComplex) -> list[list[frozenset]]:
-    """Per facet, its codimension-1 faces."""
+def _facet_ridges(K: SimplicialComplex | CubicalComplex) -> list[list[tuple[int, ...]]]:
+    """Per facet, its codimension-1 faces as sorted vertex tuples.  Ridge
+    p of a simplex drops its slot p; ridge p of a cube is the p-th ridge
+    of ``_faces_of_dim(k, k - 1)``."""
     if isinstance(K, SimplicialComplex):
-        return [[frozenset(f) - {v} for v in f] for f in K.facets]
+        return [[f[:p] + f[p + 1:] for p in range(len(f))] for f in K.facets]
     ridges = _faces_of_dim(K.dim, K.dim - 1)
-    return [[frozenset([c[i] for i in idxs]) for idxs in ridges] for c in K.cubes]
+    return [[tuple(sorted([c[i] for i in idxs])) for idxs in ridges] for c in K.cubes]
 
 
 def facet_adjacency(K: SimplicialComplex | CubicalComplex) -> DualMultigraph:
@@ -500,21 +503,20 @@ def facet_adjacency(K: SimplicialComplex | CubicalComplex) -> DualMultigraph:
 
 def _dual_multigraph(K: SimplicialComplex | CubicalComplex) -> DualMultigraph:
     per_facet = _facet_ridges(K)
-    all_ridges = sorted({r for lst in per_facet for r in lst},
-                        key=lambda fs: sorted(fs))
+    all_ridges = sorted({r for lst in per_facet for r in lst})
     ridge_id = {r: i for i, r in enumerate(all_ridges)}
-    holders: dict[int, list[int]] = {}
+    holders: dict[int, list[tuple[int, int]]] = {}  # ridge id -> (facet, position)
     for f, lst in enumerate(per_facet):
-        for r in lst:
-            holders.setdefault(ridge_id[r], []).append(f)
-    edges = []
-    for rid, fs in holders.items():
-        for a, b in combinations(sorted(fs), 2):
-            edges.append((a, b, rid))
+        for p, r in enumerate(lst):
+            holders.setdefault(ridge_id[r], []).append((f, p))
+    # holders list facets in increasing order, so a < b
+    edges = sorted((a, b, rid, pa, pb) for rid, fs in holders.items()
+                   for (a, pa), (b, pb) in combinations(fs, 2))
     return DualMultigraph(
         node_count=len(K.facets),
-        edges=tuple(sorted(edges)),
-        ridges=tuple(tuple(sorted(r)) for r in all_ridges),
+        edges=tuple(e[:3] for e in edges),
+        ridges=tuple(all_ridges),
+        positions=tuple(e[3:] for e in edges),
     )
 
 

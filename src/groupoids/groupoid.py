@@ -7,6 +7,12 @@ forced on the one remaining vertex; for cubes the pointwise stabilizer
 of a facet inside the cube symmetry group is trivial, so the extension
 across the shared facet is unique as well.
 
+Each flip is read off the positions of the shared ridge in its two
+cells, which the dual multigraph records per edge.  Ridge p of a simplex
+drops slot p; a cube's two ridges pair their corners by vertex, each pair
+extends across each side's fixed axis, and the corner map is checked to
+be a cube symmetry.
+
 Slot s of an object is its s-th vertex in ``object_vertices``, and a
 flip is stored as an image tuple over slots.  Composites follow the
 left-to-right convention of :mod:`permgroup`: a path written
@@ -17,22 +23,17 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complexes import (
     CubicalComplex,
     DualMultigraph,
     SimplicialComplex,
     _cube_symmetry,
+    _faces_of_dim,
     facet_adjacency,
 )
 from .permgroup import Perm, SignedPerm, _inv, _mul
-
-
-class NotAdjacent(ValueError):
-    """The given cells do not share the given ridge."""
 
 
 class BrokenPath(ValueError):
@@ -84,30 +85,35 @@ class Groupoid:
 
     @staticmethod
     def from_complex(K: SimplicialComplex | CubicalComplex) -> "Groupoid":
+        """Every flip, read off the positions of each dual edge's ridge in
+        its two facets (``DualMultigraph.positions``)."""
         dual = facet_adjacency(K)
         flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
         if isinstance(K, SimplicialComplex):
-            objects = K.facets
-            for i, j, rid in dual.edges:
-                pa, pb = (_extra_slot(objects[x], dual.ridges[rid]) for x in (i, j))
-                flips[(i, j, rid)] = _exchange(len(objects[i]), pa, pb)
-                flips[(j, i, rid)] = _exchange(len(objects[i]), pb, pa)
-            return Groupoid(object_vertices=objects, dual=dual, flips=flips)
+            n = K.dim + 1
+            for (i, j, rid), (pa, pb) in zip(dual.edges, dual.positions):
+                flips[(i, j, rid)] = _exchange(n, pa, pb)
+                flips[(j, i, rid)] = _exchange(n, pb, pa)
+            return Groupoid(object_vertices=K.facets, dual=dual, flips=flips)
+        ridges = _faces_of_dim(K.dim, K.dim - 1)
+        # a ridge's first and last corners differ in its free bits alone
+        axes = [((1 << K.dim) - 1) ^ r[0] ^ r[-1] for r in ridges]
         order = [tuple(sorted(range(len(c)), key=c.__getitem__)) for c in K.cubes]  # slot -> corner
         slots = [_inv(o) for o in order]
-        for i, j, rid in dual.edges:
-            flip = _mul(_mul(order[i], _cube_flip(K, i, j, dual.ridges[rid])), slots[j])
+        for (i, j, rid), (pa, pb) in zip(dual.edges, dual.positions):
+            # corner x of i goes to corner addr[x] of j: the two ridges'
+            # corners pair by vertex, and each pair extends across the axes
+            ci, cj, axis_i, axis_j = K.cubes[i], K.cubes[j], axes[pa], axes[pb]
+            at = {cj[y]: y for y in ridges[pb]}
+            addr = [0] * len(ci)
+            for x in ridges[pa]:
+                addr[x] = y = at[ci[x]]
+                addr[x ^ axis_i] = y ^ axis_j
+            _cube_symmetry(addr)
+            flip = _mul(_mul(order[i], addr), slots[j])
             flips[(i, j, rid)] = flip
             flips[(j, i, rid)] = _inv(flip)
         return Groupoid(tuple(_mul(o, c) for o, c in zip(order, K.cubes)), dual, flips, K.cubes)
-
-
-def _extra_slot(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
-    """The slot of a simplex's one vertex off the ridge."""
-    extra = set(facet).difference(ridge)
-    if len(extra) != 1 or len(facet) != len(ridge) + 1:
-        raise NotAdjacent(f"{list(ridge)} is not a ridge of facet {list(facet)}")
-    return facet.index(extra.pop())
 
 
 def _exchange(n: int, pa: int, pb: int) -> tuple[int, ...]:
@@ -115,30 +121,6 @@ def _exchange(n: int, pa: int, pb: int) -> tuple[int, ...]:
     the one at slot pa of the source and pb of the target, in order."""
     rest = [*range(pb), *range(pb + 1, n)]
     return (*rest[:pa], pb, *rest[pa:])
-
-
-def _ridge_corners(cube: tuple[int, ...], ridge: Iterable[int]) -> tuple[list[int], int]:
-    """A ridge's corner indices in a cube, and the bitmask of the one
-    coordinate they share."""
-    corners = [cube.index(v) for v in ridge]
-    # a bit varies across the ridge when some corner has it and some lacks it
-    axis = ~(reduce(or_, corners, 0) ^ reduce(and_, corners, -1)) & (len(cube) - 1)
-    if 2 * len(corners) != len(cube) or axis.bit_count() != 1:
-        raise NotAdjacent("ridge is not a facet of the cube")
-    return corners, axis
-
-
-def _cube_flip(K: CubicalComplex, i: int, j: int, ridge: Iterable[int]) -> list[int]:
-    """The flip of cube i onto cube j across their ridge: corner x of i
-    goes to corner ``addr[x]`` of j, checked to be a cube symmetry."""
-    xs, axis_i = _ridge_corners(K.cubes[i], ridge)
-    ys, axis_j = _ridge_corners(K.cubes[j], ridge)
-    addr = [0] * len(K.cubes[i])
-    for x, y in zip(xs, ys):
-        addr[x] = y
-        addr[x ^ axis_i] = y ^ axis_j
-    _cube_symmetry(addr)
-    return addr
 
 
 def transport(g: Groupoid, facets: Sequence[int],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -32,15 +33,27 @@ class ParseError(ValueError):
     """Malformed or invalid input file."""
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when it names one key twice: the last entry
+    would win silently."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return out
+
+
 def load_json(path: str | Path):
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def parse_complex(obj) -> SimplicialComplex | CubicalComplex | Groupoid:
@@ -111,8 +124,9 @@ def state_to_dict(s: LabelledState) -> dict:
 
 
 def _oriented(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"([0-9]+),([0-9]+)", text) if isinstance(text, str) else None
-    if match is None:
+    # canonical decimals only, so that no two keys name one edge
+    match = isinstance(text, str) and re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", text)
+    if not match:
         raise ValueError(f"oriented edge {text!r} is not a string 'x,y'")
     return int(match[1]), int(match[2])
 

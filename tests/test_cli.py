@@ -392,3 +392,47 @@ def test_malformed_connection_is_input_error(tmp_path, capsys, obj, message):
     path.write_text(json.dumps(obj))
     assert_one_line_input_error(capsys, main(["connection", str(path)]),
                                 f"invalid connection: {message}")
+
+
+# one object naming one key twice; json.dumps cannot write this
+_TWO_SQUARES = ('{"kind": "cubical", "dim": 2, "cubes": ['
+                '{"00": 0, "10": 1, "01": 2, "11": 3}, '
+                '{"00": 1, "10": 4, "01": 3, "11": 6, "11": 5}]}')
+
+
+@pytest.mark.parametrize("argv,name,text,key", [
+    (["holonomy"], "squares.json", _TWO_SQUARES, "'11'"),
+    (["invariants"], "squares.json", _TWO_SQUARES, "'11'"),
+    (["connection"], "connection.json",
+     '{"edges": [[0, 1]], "nabla": {"0,1": {"0,1": "1,0"}, "1,0": {"1,0": "0,1"}, '
+     '"0,1": {"0,1": "1,0"}}}', "'0,1'"),
+    (["puzzle", "reach", "--board", "2x2", "--to"], "state.json",
+     '{"hole": 3, "placement": {"1": 0, "2": 1, "3": 2, "1": 2}}', "'1'"),
+], ids=["holonomy", "invariants", "connection", "puzzle-state"])
+def test_duplicate_object_key_is_input_error(tmp_path, capsys, argv, name, text, key):
+    path = tmp_path / name
+    path.write_text(text)
+    args = [*argv, str(path)] + (["--from", str(path)] if argv[0] == "puzzle" else [])
+    assert_one_line_input_error(capsys, main(args), f"{path}: duplicate key {key}")
+
+
+def test_non_canonical_edge_alias_is_input_error(tmp_path, capsys):
+    """A good table under "00,1" must not stand in for a broken "0,1"."""
+    good = json.loads((bundled_dir() / "k4-rotation-connection.json").read_text())
+    broken = json.loads((Path(__file__).parent / "connections"
+                         / "k4-broken-crossing-connection.json").read_text())
+    nabla = {}
+    for edge, table in good["nabla"].items():
+        if edge == "0,1":
+            nabla["0,1"] = broken["nabla"]["0,1"]
+            edge = "00,1"
+        nabla[edge] = table
+    path = tmp_path / "aliased-connection.json"
+    path.write_text(json.dumps({"edges": good["edges"], "nabla": nabla}))
+    assert_one_line_input_error(capsys, main(["connection", str(path)]),
+                                "invalid connection: oriented edge '00,1' is not a string 'x,y'")
+    # the broken table alone is still caught
+    broken_path = tmp_path / "broken-connection.json"
+    broken_path.write_text(json.dumps(broken))
+    code, out = run(capsys, "connection", str(broken_path))
+    assert code == 0 and out.startswith("valid: False")

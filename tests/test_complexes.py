@@ -17,6 +17,7 @@ from groupoids.complexes import (
     DominatedFacet,
     NonPure,
     SemilatticeViolation,
+    SimplicialComplex,
     VertexMap,
     build_cubical,
     build_simplicial,
@@ -41,7 +42,7 @@ from groupoids.graphconn import rotation_connection
 from groupoids.groupoid import Groupoid
 from groupoids.holonomy import holonomy
 from groupoids.homcx import complete_graph, cycle_graph
-from groupoids.invariants import compare_invariants
+from groupoids.invariants import compare_invariants, nacl
 from groupoids.serialize import (
     ParseError,
     complex_to_dict,
@@ -426,6 +427,24 @@ def test_ridges_and_edges_match_the_face_lists():
             by_dim.setdefault(d, []).append(tuple(sorted(fs)))
         assert edges == tuple(sorted(by_dim[1]))
         assert ridges == tuple(sorted(by_dim[K.dim - 1]))
+
+
+def test_nacl_on_a_simplex_boundary_never_lists_all_faces():
+    K = simplex_boundary(4)
+    nacl(K)
+    assert "faces" not in K.__dict__
+    assert K.skeleton_edges == tuple(combinations(range(5), 2))
+
+
+def test_simplicial_skeleton_edges_match_the_face_dict():
+    complexes = [K for path in sorted(bundled_dir().glob("*.json"))
+                 if not path.name.endswith(("-state.json", "-connection.json"))
+                 and isinstance(K := load_complex(path), SimplicialComplex)]
+    assert len(complexes) >= 10
+    complexes += [simplex_boundary(d) for d in (1, 2, 4)] + [build_simplicial([[0], [1], [2]])]
+    for K in complexes:
+        edges = [tuple(sorted(fs)) for fs, d in K.faces.items() if d == 1]
+        assert K.skeleton_edges == tuple(sorted(edges))
 
 
 def _old_build_simplicial(facets):

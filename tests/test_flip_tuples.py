@@ -23,7 +23,7 @@ from groupoids.complexes import CubicalComplex, SimplicialComplex
 from groupoids.corpus import bundled_dir, random_corpus
 from groupoids.games import Puzzle, grid_puzzle, puzzle_groupoid
 from groupoids.graphconn import connection_groupoid, cycle_connection, rotation_connection
-from groupoids.groupoid import Groupoid, NotAdjacent, tribar_groupoid
+from groupoids.groupoid import Groupoid, tribar_groupoid
 from groupoids.holonomy import holonomy
 from groupoids.homcx import complete_graph, cycle_graph
 from groupoids.permgroup import Perm, SignedPerm
@@ -33,6 +33,10 @@ TESTS = Path(__file__).parent
 
 
 # ------------------------------------------------- reference construction
+
+class NotAdjacent(ValueError):
+    """The given cells do not share the given ridge."""
+
 
 def _flip_bijection(K, i: int, j: int, ridge: frozenset) -> dict[int, int]:
     if isinstance(K, SimplicialComplex):

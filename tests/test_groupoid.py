@@ -16,9 +16,6 @@ from groupoids.corpus import (
 from groupoids.groupoid import (
     BrokenPath,
     Groupoid,
-    NotAdjacent,
-    _extra_slot,
-    _ridge_corners,
     transport,
     tribar_groupoid,
 )
@@ -126,17 +123,6 @@ def test_flip_around_cube_corner_is_even():
     i, j, rid = g.dual.edges[0]
     sp = corner_map_signed(K.cubes[i], K.cubes[j], g.vertex_map(i, j, rid))
     assert signed_parity(sp) == 0
-
-
-def test_not_adjacent():
-    K = simplex_boundary(3)
-    with pytest.raises(NotAdjacent):
-        _extra_slot(K.facets[0], (0,))
-    with pytest.raises(NotAdjacent):
-        _extra_slot(K.facets[0], (0, 3))
-    # a diagonal is no facet of a square
-    with pytest.raises(NotAdjacent):
-        _ridge_corners((0, 1, 2, 3), (0, 3))
 
 
 @pytest.mark.parametrize("K", [
