@@ -7,7 +7,8 @@ on the seeded random connections in ``tests/connections/`` and on the
 single edge K2 there, ``connection``
 at ``--base`` 0 on one broken K4 rotation connection per witness there,
 ``holonomy`` at ``--base`` 0 and 1 and ``invariants`` on the scrambled
-cubical complexes in ``tests/complexes/``, ``puzzle holonomy`` on a few
+cubical complexes in ``tests/complexes/``, ``holonomy`` at ``--base`` 0
+on one broken cubical complex per input fault there, ``puzzle holonomy`` on a few
 grid boards at holes 0, 1 and 3, ``puzzle reach`` between the states
 in ``tests/states/`` and the bundled 15-puzzle pair (reachable and
 unreachable pairs on the 1x5, 2x2, 2x3, 3x3 and 4x4 boards, most with
@@ -50,6 +51,11 @@ BROKEN = tuple(f"tests/connections/k4-broken-{kind}-connection.json"
 COMPLEXES = ("tests/complexes/skel4-3-scrambled.json",
              "tests/complexes/skel5-4-scrambled.json",
              "tests/complexes/cubes2x2x2-scrambled.json")
+# cubical complexes with one input fault each, from the corner keys to the cell structure
+BROKEN_CUBES = tuple(f"tests/complexes/broken-{fault}.json"
+                     for fault in ("key", "missing-corner", "mixed-dims", "list-cube",
+                                   "bool-vertex", "corner-collision", "same-vertex-set",
+                                   "twisted-square", "dim-mismatch", "empty"))
 BOARDS = ("2x2", "2x3", "3x3", "3x4", "4x4", "1x5", "5x5", "6x6", "3x7")
 HOLES = (0, 1, 3)
 # (board, from, to) for ``puzzle reach``; a bare name is tests/states/<name>-state.json
@@ -82,6 +88,7 @@ def cases() -> dict[str, list[list[str]]]:
     for path in COMPLEXES:
         out["invariants"].append(["invariants", path])
         out["holonomy"] += [["holonomy", path, "--base", base] for base in ("0", "1")]
+    out["holonomy"] += [["holonomy", path, "--base", "0"] for path in BROKEN_CUBES]
     out["puzzle"] = [["puzzle", "holonomy", "--board", board, "--base", str(hole)]
                      for board in BOARDS for hole in HOLES]
     out["puzzle"].append(["puzzle", "holonomy", "--board", "2x2", "--base", "4"])

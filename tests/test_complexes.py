@@ -116,7 +116,7 @@ def brute_force_covers(K):
 
 
 COVER_CASES = ([cube_skeleton(d, k)[0] for d in range(2, 6) for k in range(1, d)]
-               + [load_complex(path) for path in sorted(TEST_COMPLEXES.glob("*.json"))]
+               + [load_complex(path) for path in sorted(TEST_COMPLEXES.glob("*-scrambled.json"))]
                + [item.complex for item in random_corpus(5, 60)])
 
 

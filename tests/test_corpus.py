@@ -1,3 +1,5 @@
+import hashlib
+
 from groupoids.corpus import (
     CorpusItem,
     cube_grid_patch,
@@ -64,3 +66,33 @@ def test_random_corpus_items_have_coords_when_lattice():
         if item.kind in ("grid_subset", "cube3d_subset", "cube_skeleton"):
             assert item.coords is not None
             assert len(item.coords) == item.complex.vertex_count
+
+
+# digests of the generators' output, each item as (name, cubes, vertex count, coords)
+CORPUS_DIGEST = "3c71d07106b3647f5af9a01f1552bb3cd9e8f17c97929e4fae00c2c5f8676ee0"
+GENERATORS_DIGEST = "db1f15c659e40999c0c37ea2de3b20c7b73a5f2c8bbf3b02e2ae812d5b36b91b"
+
+
+def _digest(items) -> str:
+    """sha256 over the repr of each (name, cubes, vertex count, coords)."""
+    h = hashlib.sha256()
+    for name, K, coords in items:
+        h.update(repr((name, K.cubes, K.vertex_count, coords)).encode())
+    return h.hexdigest()
+
+
+def test_random_corpus_numbering_is_pinned():
+    # any change to a generator's vertex or corner numbering moves this digest
+    items = [(item.name, item.complex, item.coords)
+             for seed in (0, 1, 2) for item in random_corpus(seed, 800)]
+    assert _digest(items) == CORPUS_DIGEST
+
+
+def test_named_cubical_generators_numbering_is_pinned():
+    items = [(f"skel{d}-{k}", *cube_skeleton(d, k)) for d in range(2, 6) for k in range(1, d)]
+    items += [(f"strip{n}{t}", strip_complex(n, t), None)
+              for n in range(3, 9) for t in (False, True)]
+    items += [(f"cube{k}", single_cube(k), None) for k in range(1, 6)]
+    items += [("grid3x2", *grid_patch(3, 2)), ("cubes2x2x2", *cube_grid_patch(2, 2, 2)),
+              ("quotient", quotient_example(), None)]
+    assert _digest(items) == GENERATORS_DIGEST

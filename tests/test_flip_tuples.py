@@ -193,7 +193,7 @@ def _complexes():
     for path in sorted(bundled_dir().glob("*.json")):
         if not path.name.endswith(("-state.json", "-connection.json")):
             out.append((path.stem, load_complex(path)))
-    for path in sorted((TESTS / "complexes").glob("*.json")):
+    for path in sorted((TESTS / "complexes").glob("*-scrambled.json")):
         out.append((path.stem, load_complex(path)))
     for seed in (11, 12):
         out += [(item.name, item.complex) for item in random_corpus(seed, 200)]

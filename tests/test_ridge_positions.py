@@ -118,7 +118,7 @@ def _complexes():
             if not isinstance(K, Groupoid):
                 out.append((path.stem, K))
     out += [(path.stem, load_complex(path))
-            for path in sorted((TESTS / "complexes").glob("*.json"))]
+            for path in sorted((TESTS / "complexes").glob("*-scrambled.json"))]
     out += [(f"skeleton-{d}-{k}", cube_skeleton(d, k)[0])
             for d in range(2, 7) for k in range(1, d)]
     return out
