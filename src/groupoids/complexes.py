@@ -7,9 +7,9 @@ package's graph walks share.  Construction validates everything up
 front; afterwards all values are immutable and safe to share.
 
 Vertex identifiers are dense integers 0..n-1 throughout.  A k-cube is a
-map from corner addresses {0,1}^k to vertices.  Inside the package a
-corner is named only by its flat index, whose bit j is coordinate j;
-bit tuples and bit strings appear only where corner keys are parsed.
+map from corner addresses {0,1}^k to vertices, given and stored as the
+flat tuple of its 2^k vertices: entry x is the corner whose coordinate
+j is bit j of x.  Only :mod:`serialize` reads and writes corner keys.
 Faces arise by freezing coordinates, which pins the whole face lattice
 without any geometric embedding.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class ComplexError(ValueError):
@@ -190,14 +190,6 @@ def build_simplicial(facets: Iterable[Sequence[int]]) -> SimplicialComplex:
 
 
 @lru_cache(maxsize=None)
-def _addr_index(bits: tuple[int, ...]) -> int:
-    idx = 0
-    for j, b in enumerate(bits):
-        idx |= b << j
-    return idx
-
-
-@lru_cache(maxsize=None)
 def _face_template(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every face of the k-cube as (free_coords, corner indices).
 
@@ -250,11 +242,18 @@ def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...
 
 @dataclass(frozen=True)
 class CubicalComplex:
-    """A pure cubical complex: each top cell is a corner-address map."""
+    """A pure cubical complex: each top cell is a corner-address map.
+
+    Construction runs `_check_semilattice`, so every complex's cells
+    meet in common faces, matched by cube symmetries.
+    """
 
     vertex_count: int
     dim: int
     cubes: tuple[tuple[int, ...], ...]  # cubes[c][flat corner index] = vertex
+
+    def __post_init__(self):
+        _check_semilattice(self)
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
@@ -289,14 +288,15 @@ class CubicalComplex:
         return _dual_multigraph(self)
 
 
-def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
-    """Validate and build a cubical complex from corner-address maps.
+def build_cubical(cubes: Iterable[Sequence[int]]) -> CubicalComplex:
+    """Validate and build a cubical complex from flat corner tuples.
 
-    Corner keys may be bit tuples or binary strings ("01" means
-    coordinate 0 is 0 and coordinate 1 is 1); vertex ids must be ints
-    (not bools).  Every cell must meet every face of the complex in one
-    of its own faces, checked as: any two cells that share a vertex meet
-    in one common face with the same face structure on both sides (see
+    Each cube lists its 2^k vertex ids in flat-corner order: entry x is
+    the corner whose coordinate j is bit j of x.  Vertex ids must be
+    ints (not bools), and every cube needs the same 2^k corners, k >= 1.
+    Every cell must meet every face of the complex in one of its own
+    faces, checked as: any two cells that share a vertex meet in one
+    common face with the same face structure on both sides (see
     `_check_semilattice`).  This is a deliberately stronger, checkable
     stand-in for the semilattice condition, standard for regular CW
     complexes.  Validation costs O(2^k) per pair of cubes that share a
@@ -304,32 +304,17 @@ def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
     degree and cube dimension; the 3^k faces of each cube are not listed.
     """
     normalized: list[tuple[int, ...]] = []
-    k = None
     for cube in cubes:
-        if not isinstance(cube, Mapping) or not cube:
-            raise ComplexError(f"cube {cube!r} is not a non-empty map of corner addresses")
-        entries = {}
-        for key, v in cube.items():
-            # "01".find sends any character but 0 and 1 to -1
-            bits = tuple("01".find(ch) for ch in key) if isinstance(key, str) else tuple(key)
-            if any(b not in (0, 1) for b in bits):
-                raise ComplexError(f"bad corner address {key!r}")
-            entries[bits] = _vertex_id(v)
-        if k is None:
-            k = len(next(iter(entries)))
-            if k < 1:
-                raise ComplexError("cube dimension must be at least 1")
-        if {len(b) for b in entries} != {k}:
+        corners = tuple(map(_vertex_id, cube))
+        size = len(corners)
+        if size < 2 or size & (size - 1):
+            raise ComplexError(f"cube {corners} has {size} corners, not a power of two above 1")
+        if normalized and size != len(normalized[0]):
             raise NonPure("mixed cube dimensions")
-        if len(entries) != 1 << k:
-            raise ComplexError(f"cube needs all {1 << k} corners")
-        corners = [0] * (1 << k)
-        for bits, v in entries.items():
-            corners[_addr_index(bits)] = v
-        if len(set(corners)) != len(corners):
-            raise CornerCollision(f"repeated vertex in cube {cube}")
-        normalized.append(tuple(corners))
-    if k is None:
+        if len(set(corners)) != size:
+            raise CornerCollision(f"repeated vertex in cube {corners}")
+        normalized.append(corners)
+    if not normalized:
         raise ComplexError("cube list is empty")
 
     n = _check_dense_vertices({v for c in normalized for v in c})
@@ -338,10 +323,9 @@ def build_cubical(cubes: Iterable[Mapping]) -> CubicalComplex:
     if len(set(vertex_sets)) != len(vertex_sets):
         raise SemilatticeViolation("two cells share all their vertices")
 
+    k = len(normalized[0]).bit_length() - 1
     _face_template(k)  # count-checks the k-cube's face lattice, once per k
-    complex_ = CubicalComplex(vertex_count=n, dim=k, cubes=tuple(normalized))
-    _check_semilattice(complex_)
-    return complex_
+    return CubicalComplex(vertex_count=n, dim=k, cubes=tuple(normalized))
 
 
 def _check_semilattice(K: CubicalComplex) -> None:

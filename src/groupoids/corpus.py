@@ -75,12 +75,7 @@ def grid_patch(w: int, h: int, cells=None):
     table, vid = _intern()
     cubes = []
     for x, y in cells:
-        cubes.append({
-            (0, 0): vid((x, y)),
-            (1, 0): vid((x + 1, y)),
-            (0, 1): vid((x, y + 1)),
-            (1, 1): vid((x + 1, y + 1)),
-        })
+        cubes.append((vid((x, y)), vid((x + 1, y)), vid((x, y + 1)), vid((x + 1, y + 1))))
     K = build_cubical(cubes)
     coords = [None] * len(table)
     for point, v in table.items():
@@ -95,10 +90,12 @@ def cube_grid_patch(w: int, h: int, d: int, cells=None):
     table, vid = _intern()
     cubes = []
     for x, y, z in cells:
-        cubes.append({
-            (i, j, k): vid((x + i, y + j, z + k))
-            for i, j, k in product((0, 1), repeat=3)
-        })
+        corners = [0] * 8
+        # vertices are numbered in product order, coordinate 2 fastest, which
+        # is not flat corner order
+        for i, j, k in product((0, 1), repeat=3):
+            corners[i | j << 1 | k << 2] = vid((x + i, y + j, z + k))
+        cubes.append(tuple(corners))
     K = build_cubical(cubes)
     coords = [None] * len(table)
     for point, v in table.items():
@@ -108,10 +105,7 @@ def cube_grid_patch(w: int, h: int, d: int, cells=None):
 
 def single_cube(k: int) -> CubicalComplex:
     """One solid k-cube."""
-    return build_cubical([{
-        bits: sum(b << j for j, b in enumerate(bits))
-        for bits in product((0, 1), repeat=k)
-    }])
+    return build_cubical([range(1 << k)])
 
 
 def cube_skeleton(d: int, k: int):
@@ -125,16 +119,10 @@ def cube_skeleton(d: int, k: int):
     for free in combinations(range(d), k):
         frozen = [c for c in range(d) if c not in free]
         for mask in range(1 << len(frozen)):
-            corner = {}
-            for sub in range(1 << k):
-                bits = [0] * d
-                for i, c in enumerate(frozen):
-                    bits[c] = (mask >> i) & 1
-                for i, c in enumerate(free):
-                    bits[c] = (sub >> i) & 1
-                addr = tuple((sub >> i) & 1 for i in range(k))
-                corner[addr] = sum(b << j for j, b in enumerate(bits))
-            cubes.append(corner)
+            # vertex v of the d-cube has coordinate j equal to bit j of v
+            base = sum(((mask >> i) & 1) << c for i, c in enumerate(frozen))
+            cubes.append(tuple(base + sum(((sub >> i) & 1) << c for i, c in enumerate(free))
+                               for sub in range(1 << k)))
     K = build_cubical(cubes)
     coords = [tuple(2 * ((v >> j) & 1) - 1 for j in range(d))
               for v in range(K.vertex_count)]
@@ -153,22 +141,11 @@ def strip_complex(n: int, twisted: bool = False) -> CubicalComplex:
         raise ValueError("a strip cycle needs at least 3 squares")
     a = list(range(n))            # one rail
     b = list(range(n, 2 * n))     # other rail
-    cubes = []
-    for i in range(n - 1):
-        cubes.append({
-            (0, 0): a[i], (1, 0): a[i + 1],
-            (0, 1): b[i], (1, 1): b[i + 1],
-        })
+    cubes = [(a[i], a[i + 1], b[i], b[i + 1]) for i in range(n - 1)]
     if twisted:
-        cubes.append({
-            (0, 0): a[n - 1], (1, 0): b[0],
-            (0, 1): b[n - 1], (1, 1): a[0],
-        })
+        cubes.append((a[n - 1], b[0], b[n - 1], a[0]))
     else:
-        cubes.append({
-            (0, 0): a[n - 1], (1, 0): a[0],
-            (0, 1): b[n - 1], (1, 1): b[0],
-        })
+        cubes.append((a[n - 1], a[0], b[n - 1], b[0]))
     return build_cubical(cubes)
 
 

@@ -9,9 +9,10 @@ across the shared facet is unique as well.
 
 Each flip is read off the positions of the shared ridge in its two
 cells, which the dual multigraph records per edge.  Ridge p of a simplex
-drops slot p; a cube's two ridges pair their corners by vertex, each pair
-extends across each side's fixed axis, and the corner map is checked to
-be a cube symmetry.
+drops slot p; a cube's two ridges pair their corners by vertex, and each
+pair extends across each side's fixed axis.  The corner map is a cube
+symmetry because every `CubicalComplex` checks on construction that its
+cells meet in common faces matched by cube symmetries.
 
 Slot s of an object is its s-th vertex in ``object_vertices``, and a
 flip is stored as an image tuple over slots.  Composites follow the
@@ -29,7 +30,6 @@ from .complexes import (
     CubicalComplex,
     DualMultigraph,
     SimplicialComplex,
-    _cube_symmetry,
     _faces_of_dim,
     facet_adjacency,
 )
@@ -109,7 +109,6 @@ class Groupoid:
             for x in ridges[pa]:
                 addr[x] = y = at[ci[x]]
                 addr[x ^ axis_i] = y ^ axis_j
-            _cube_symmetry(addr)
             flip = _mul(_mul(order[i], addr), slots[j])
             flips[(i, j, rid)] = flip
             flips[(j, i, rid)] = _inv(flip)

@@ -187,14 +187,7 @@ def quotient_identify(K: CubicalComplex, u: int, v: int) -> CubicalComplex:
             w = keep
         return w - 1 if w > drop else w
 
-    k = K.dim
-    cubes = []
-    for cube in K.cubes:
-        cubes.append({
-            tuple((idx >> j) & 1 for j in range(k)): relabel(vert)
-            for idx, vert in enumerate(cube)
-        })
-    return build_cubical(cubes)
+    return build_cubical(tuple(map(relabel, c)) for c in K.cubes)
 
 
 def lattice_parity_coloring(vertices: Sequence[tuple[int, ...]]) -> TwoColoring:

@@ -4,6 +4,8 @@ Complexes:  {"kind": "simplicial", "facets": [[0,1,2], ...]}
             {"kind": "cubical", "dim": k, "cubes": [{"00": 0, ...}, ...]}
             {"kind": "builtin", "name": "tribar"}
 Corner keys are binary strings of length k; character j is coordinate j.
+Only this module reads or writes them: a parsed cube is the flat tuple of
+its corners, entry x being the corner whose coordinate j is bit j of x.
 
 Puzzle states:  {"hole": 15, "placement": {"1": 0, ...}}
 Connections:    {"edges": [[x, y], ...], "nabla": {"x,y": {"x,z": "y,w"}}}
@@ -20,7 +22,15 @@ from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
-from .complexes import CubicalComplex, SimplicialComplex, build_cubical, build_simplicial
+from .complexes import (
+    ComplexError,
+    CubicalComplex,
+    NonPure,
+    SimplicialComplex,
+    _vertex_id,
+    build_cubical,
+    build_simplicial,
+)
 from .games import LabelledState
 from .graphconn import GraphConnection
 from .groupoid import Groupoid, tribar_groupoid
@@ -68,9 +78,7 @@ def parse_complex(obj) -> SimplicialComplex | CubicalComplex | Groupoid:
             k = obj.get("dim")
             if k is not None and type(k) is not int:   # bool is an int subclass
                 raise ParseError(f"cubical dim {k!r} is not an integer")
-            if k is not None and cubes and any(len(key) != k for key in cubes[0]):
-                raise ParseError("corner keys do not match the declared dim")
-            return build_cubical(cubes)
+            return build_cubical(_flat_cubes(cubes, k))
         if kind == "builtin":
             if obj.get("name") == "tribar":
                 return tribar_groupoid()
@@ -82,18 +90,47 @@ def parse_complex(obj) -> SimplicialComplex | CubicalComplex | Groupoid:
     raise ParseError(f"unknown complex kind {kind!r}")
 
 
+def _corner_keys(k: int) -> list[str]:
+    """The corner keys of a k-cube in flat corner order: character j of
+    corner x's key is bit j of x."""
+    return ["".join(str(x >> j & 1) for j in range(k)) for x in range(1 << k)]
+
+
+def _flat_cubes(cubes, dim: int | None):
+    """Each cube's corner-key map as a flat corner tuple, checked cube by
+    cube as `build_cubical` consumes them.  Every cube's keys must have
+    the declared ``dim``; without one, the first key sets it."""
+    k, corner_keys = dim, None
+    for cube in cubes:
+        if not isinstance(cube, dict) or not cube:
+            raise ComplexError(f"cube {cube!r} is not a non-empty map of corner addresses")
+        if dim is not None and any(len(key) != dim for key in cube):
+            raise ParseError("corner keys do not match the declared dim")
+        # keys and vertex ids are checked entry by entry, so that a cube's
+        # first fault in key order is the one reported
+        for key, v in cube.items():
+            # "01".find sends any character but 0 and 1 to -1
+            if -1 in map("01".find, key):
+                raise ComplexError(f"bad corner address {key!r}")
+            _vertex_id(v)
+        if k is None:
+            k = len(next(iter(cube)))
+        if k < 1:
+            raise ComplexError("cube dimension must be at least 1")
+        if any(len(key) != k for key in cube):
+            raise NonPure("mixed cube dimensions")
+        if len(cube) != 1 << k:
+            raise ComplexError(f"cube needs all {1 << k} corners")
+        corner_keys = corner_keys or _corner_keys(k)
+        yield tuple(cube[key] for key in corner_keys)
+
+
 def complex_to_dict(K) -> dict:
     if isinstance(K, SimplicialComplex):
         return {"kind": "simplicial", "facets": [list(f) for f in K.facets]}
     if isinstance(K, CubicalComplex):
-        k = K.dim
-        cubes = []
-        for corners in K.cubes:
-            cubes.append({
-                "".join(str((idx >> j) & 1) for j in range(k)): v
-                for idx, v in enumerate(corners)
-            })
-        return {"kind": "cubical", "dim": k, "cubes": cubes}
+        keys = _corner_keys(K.dim)
+        return {"kind": "cubical", "dim": K.dim, "cubes": [dict(zip(keys, c)) for c in K.cubes]}
     if isinstance(K, Groupoid):
         return {"kind": "builtin", "name": "tribar"}
     raise TypeError(f"cannot serialize {type(K).__name__}")

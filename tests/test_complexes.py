@@ -6,6 +6,7 @@ import tempfile
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,7 +91,7 @@ def test_sparse_vertex_ids_rejected():
 
 def test_face_poset_counts():
     assert len(face_poset(build_simplicial([[0, 1, 2]])).elements) == 7
-    square = build_cubical([{"00": 0, "01": 1, "10": 2, "11": 3}])
+    square = build_cubical([(0, 2, 1, 3)])
     assert len(face_poset(square).elements) == 9
     assert len(face_poset(simplex_boundary(3)).elements) == 14
 
@@ -129,7 +130,7 @@ def test_cubical_face_poset_covers_match_brute_force():
 
 
 def test_build_cubical_examples():
-    square = build_cubical([{"00": 0, "01": 1, "10": 2, "11": 3}])
+    square = build_cubical([(0, 2, 1, 3)])
     assert square.dim == 2
     assert len(square.cubes) == 1
     grid, _ = grid_patch(2, 2)
@@ -140,18 +141,12 @@ def test_build_cubical_examples():
 
 def test_build_cubical_rejects():
     with pytest.raises(CornerCollision):
-        build_cubical([{"00": 0, "01": 1, "10": 2, "11": 0}])
+        build_cubical([(0, 2, 1, 0)])
     # two squares meeting in two diagonal vertices
     with pytest.raises(SemilatticeViolation):
-        build_cubical([
-            {"00": 0, "01": 1, "10": 2, "11": 3},
-            {"00": 3, "01": 4, "10": 5, "11": 0},
-        ])
+        build_cubical([(0, 2, 1, 3), (3, 5, 4, 0)])
     with pytest.raises(NonPure):
-        build_cubical([
-            {"00": 0, "01": 1, "10": 2, "11": 3},
-            {"0": 0, "1": 1},
-        ])
+        build_cubical([(0, 2, 1, 3), (0, 1)])
 
 
 def test_cubical_downset_counts_cube():
@@ -247,19 +242,13 @@ def test_vertex_map_must_be_total():
 def test_cubical_face_structure_consistency_enforced():
     # a square face glued to the same vertex set with mismatched edges
     # must be rejected: the shared cell would have two face structures
-    base = {
-        (0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 2, (1, 1, 0): 3,
-        (0, 0, 1): 4, (1, 0, 1): 5, (0, 1, 1): 6, (1, 1, 1): 7,
-    }
-    twisted_top = {
-        (0, 0, 0): 4, (1, 0, 0): 5, (0, 1, 0): 6, (1, 1, 0): 7,
-        (0, 0, 1): 8, (1, 0, 1): 9, (0, 1, 1): 10, (1, 1, 1): 11,
-    }
+    base = tuple(range(8))
+    twisted_top = tuple(range(4, 12))
     # sanity: straight stacking is fine
     build_cubical([base, twisted_top])
-    twisted_top_bad = dict(twisted_top)
+    twisted_top_bad = list(twisted_top)
     # swap two corners on the shared square: its edges now run diagonally
-    twisted_top_bad[(0, 1, 0)], twisted_top_bad[(1, 1, 0)] = 7, 6
+    twisted_top_bad[2], twisted_top_bad[3] = 7, 6
     # the shared vertex set {4,5,6,7} carries two edge structures
     with pytest.raises(SemilatticeViolation):
         build_cubical([base, twisted_top_bad])
@@ -318,10 +307,8 @@ def _old_cubical_verdict(cubes, k):
 
 
 def _new_cubical_verdict(cubes, k):
-    maps = [{"".join(str((i >> j) & 1) for j in range(k)): v for i, v in enumerate(c)}
-            for c in cubes]
     try:
-        build_cubical(maps)
+        build_cubical(cubes)
     except ComplexError as e:
         return type(e)
     return None
@@ -411,7 +398,7 @@ def _face_guard_complexes():
 
 def test_build_flips_holonomy_and_invariants_never_list_all_faces():
     for K in _face_guard_complexes():
-        K = build_cubical(complex_to_dict(K)["cubes"])
+        K = parse_complex(complex_to_dict(K))
         g = Groupoid.from_complex(K)
         assert not {"cube_face_lists", "faces"} & K.__dict__.keys()
         holonomy(g, 0, require_connected=False)
@@ -490,10 +477,22 @@ def test_duplicate_facet_check_matches_dominated_loop():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_face_template_matches_per_cube_faces(k):
     corners = tuple(random.Random(k).sample(range(1 << k), 1 << k))
-    K = build_cubical([{tuple((i >> j) & 1 for j in range(k)): v
-                        for i, v in enumerate(corners)}])
+    K = build_cubical([corners])
     assert list(K.cube_face_lists[0]) == [(free, verts) for free, _, verts
                                           in _old_cube_faces(corners, k)]
+
+
+@pytest.mark.parametrize("cubes", [
+    [(0, True)],
+    [(0, 1.0)],
+    [(0, "1")],
+    [(0, 1, 2)],
+    [()],
+    [(0,)],
+])
+def test_build_cubical_rejects_bad_input(cubes):
+    with pytest.raises(ComplexError):
+        build_cubical(cubes)
 
 
 @pytest.mark.parametrize("cubes", [
@@ -504,9 +503,9 @@ def test_face_template_matches_per_cube_faces(k):
     [{}],
     [{"0": 0, "2": 1}],
 ])
-def test_build_cubical_rejects_bad_input(cubes):
-    with pytest.raises(ComplexError):
-        build_cubical(cubes)
+def test_parse_complex_refuses_bad_cubes(cubes):
+    with pytest.raises(ParseError, match="^invalid cubical complex: "):
+        parse_complex({"kind": "cubical", "cubes": cubes})
 
 
 @pytest.mark.parametrize("facets", [[[0, True]], [[0, 1.0]], [["a", "b"]], [[0, None]]])
@@ -539,6 +538,107 @@ def test_parse_complex_raises_only_input_errors(obj):
         parse_complex(obj)
     except (ParseError, ComplexError):
         pass
+
+
+# --- corner keys against the mapping parser that `build_cubical` once ran ---
+
+def _reference_build_cubical(cubes):
+    """The corner-key parsing of `build_cubical` from when it took
+    corner-address maps, verbatim; the flat tuples it made go on through
+    the checks that did not change."""
+    normalized = []
+    k = None
+    for cube in cubes:
+        if not isinstance(cube, Mapping) or not cube:
+            raise ComplexError(f"cube {cube!r} is not a non-empty map of corner addresses")
+        entries = {}
+        for key, v in cube.items():
+            bits = tuple("01".find(ch) for ch in key) if isinstance(key, str) else tuple(key)
+            if any(b not in (0, 1) for b in bits):
+                raise ComplexError(f"bad corner address {key!r}")
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ComplexError(f"vertex id {v!r} is not an integer")
+            entries[bits] = v
+        if k is None:
+            k = len(next(iter(entries)))
+            if k < 1:
+                raise ComplexError("cube dimension must be at least 1")
+        if {len(b) for b in entries} != {k}:
+            raise NonPure("mixed cube dimensions")
+        if len(entries) != 1 << k:
+            raise ComplexError(f"cube needs all {1 << k} corners")
+        corners = [0] * (1 << k)
+        for bits, v in entries.items():
+            corners[sum(b << j for j, b in enumerate(bits))] = v
+        if len(set(corners)) != len(corners):
+            raise CornerCollision(f"repeated vertex in cube {cube}")
+        normalized.append(tuple(corners))
+    if k is None:
+        raise ComplexError("cube list is empty")
+    return build_cubical(normalized)
+
+
+def _parse_outcome(parse, cubes):
+    """The complex, or the error's cause type and message; a corner
+    collision's message printed the input map and now prints the tuple."""
+    try:
+        return parse(cubes)
+    except ParseError as e:
+        cause = type(e.__cause__)
+        return cause, None if cause is CornerCollision else str(e)
+
+
+def _reference_parse(cubes):
+    try:
+        return _reference_build_cubical(cubes)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"invalid cubical complex: {e}") from e
+
+
+_KEY_SOURCES = [grid_patch(2, 2)[0], strip_complex(3, True), cube_skeleton(3, 2)[0],
+                cube_grid_patch(1, 2, 1)[0], cube_skeleton(2, 1)[0]]
+
+
+@st.composite
+def _cube_lists(draw):
+    """Arbitrary corner-key maps, or a valid complex's maps after a few
+    edits: two corners swapped, one set to a drawn vertex, dropped, or
+    moved to a drawn key."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.dictionaries(st.text("01a", max_size=3), _vertex, max_size=8)
+                             | st.lists(_vertex, max_size=4), max_size=4))
+    cubes = complex_to_dict(draw(st.sampled_from(_KEY_SOURCES)))["cubes"]
+    for _ in range(draw(st.integers(0, 3))):
+        cube = draw(st.sampled_from(cubes))
+        if not cube:
+            break
+        key = draw(st.sampled_from(sorted(cube)))
+        other = draw(st.sampled_from(sorted(cube)) | st.text("01a", max_size=3))
+        edit = draw(st.sampled_from(("swap", "set", "drop", "move")))
+        if edit == "swap" and other in cube:
+            cube[key], cube[other] = cube[other], cube[key]
+        elif edit == "set":
+            cube[key] = draw(st.integers(0, 12) | _vertex)
+        elif edit == "drop":
+            del cube[key]
+        else:
+            cube[other] = cube.pop(key)
+    return cubes
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cube_lists())
+def test_parse_complex_matches_the_mapping_parser(cubes):
+    got = _parse_outcome(lambda c: parse_complex({"kind": "cubical", "cubes": c}), cubes)
+    assert got == _parse_outcome(_reference_parse, cubes)
+
+
+def test_parse_complex_checks_the_declared_dim_on_every_cube():
+    square = {"00": 0, "10": 1, "01": 2, "11": 3}
+    with pytest.raises(ParseError, match="^corner keys do not match the declared dim$"):
+        parse_complex({"kind": "cubical", "dim": 2, "cubes": [square, {"0": 3, "1": 4}]})
+    with pytest.raises(ParseError, match="^invalid cubical complex: mixed cube dimensions$"):
+        parse_complex({"kind": "cubical", "cubes": [square, {"0": 3, "1": 4}]})
 
 
 _oriented = (st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda e: f"{e[0]},{e[1]}")

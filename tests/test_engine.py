@@ -135,7 +135,6 @@ def test_graph_walks_go_through_the_shared_bfs():
 
 # Unbounded caches kept on purpose: none can grow with the inputs.
 UNBOUNDED_CACHES = {
-    "complexes._addr_index": "keyed by one corner's 0/1 coordinates: 2^k keys per cube dimension k",
     "complexes._face_template": "keyed by the cube dimension k",
     "complexes._faces_of_dim": "keyed by the cube dimension k and a face dimension",
     "cli.build_parser": "takes no arguments: one parser per process",

@@ -54,10 +54,7 @@ def brute_force_square_flips(K, i, j, ridge):
 
 
 def test_flip_two_squares_matches_brute_force():
-    K = build_cubical([
-        {"00": 0, "01": 1, "10": 2, "11": 3},
-        {"00": 2, "01": 3, "10": 4, "11": 5},
-    ])
+    K = build_cubical([(0, 2, 1, 3), (2, 4, 3, 5)])
     g = Groupoid.from_complex(K)
     ((i, j, rid),) = g.dual.edges
     assert (i, j, g.dual.ridges[rid]) == (0, 1, (2, 3))

@@ -161,10 +161,7 @@ def test_transport_coloring_rejections():
         transport_coloring(cycle_complex(3))
     with pytest.raises(NontrivialHolonomy):
         transport_coloring(simplex_boundary(3))
-    stars = build_cubical([
-        {"00": 0, "01": 1, "10": 2, "11": 3},
-        {"00": 3, "01": 4, "10": 5, "11": 6},
-    ])
+    stars = build_cubical([(0, 2, 1, 3), (3, 5, 4, 6)])
     with pytest.raises((NotLocallyConnected, NotConnected)):
         transport_coloring(stars)
     disconnected = build_simplicial([[0, 1, 2], [3, 4, 5]])
@@ -175,10 +172,7 @@ def test_transport_coloring_rejections():
 def test_locally_strongly_connected_examples():
     assert locally_strongly_connected(simplex_boundary(3))
     assert locally_strongly_connected(single_cube(3))
-    two_squares = build_cubical([
-        {"00": 0, "01": 1, "10": 2, "11": 3},
-        {"00": 3, "01": 4, "10": 5, "11": 6},
-    ])
+    two_squares = build_cubical([(0, 2, 1, 3), (3, 5, 4, 6)])
     assert not locally_strongly_connected(two_squares)
 
 

@@ -12,12 +12,7 @@ from collections import deque
 
 import pytest
 
-from groupoids.complexes import (
-    _addr_index,
-    bfs,
-    build_simplicial,
-    tree_path,
-)
+from groupoids.complexes import bfs, build_simplicial, tree_path
 from groupoids.corpus import cube_skeleton, random_corpus
 from groupoids.groupoid import Groupoid
 from groupoids.invariants import nacl
@@ -176,6 +171,10 @@ class NotAdjacent(ValueError):
 
 def _index_bits(idx, k):
     return tuple((idx >> j) & 1 for j in range(k))
+
+
+def _addr_index(bits):
+    return sum(b << j for j, b in enumerate(bits))
 
 
 def reference_frozen_coordinate(K, cube, ridge):
