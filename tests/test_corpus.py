@@ -1,4 +1,7 @@
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 from groupoids.corpus import (
     CorpusItem,
@@ -96,3 +99,25 @@ def test_named_cubical_generators_numbering_is_pinned():
     items += [("grid3x2", *grid_patch(3, 2)), ("cubes2x2x2", *cube_grid_patch(2, 2, 2)),
               ("quotient", quotient_example(), None)]
     assert _digest(items) == GENERATORS_DIGEST
+
+
+SWEEP_OUTPUT = """\
+swept 200 complexes (seed 0)
+  cube3d_subset    30   i=0,nacl=0: 30
+  cube_skeleton    28   i=0,nacl=0: 28
+  grid_subset      96   i=0,nacl=0: 96
+  quotient          8   i=0,nacl=0: 5  i=0,nacl=1: 3
+  strip            38   i=0,nacl=0: 18  i=1,nacl=1: 20
+connectivity hypotheses held on 153 samples
+no violations: i <= nacl everywhere, equality under hypotheses
+"""
+
+
+def test_sweep_invariants_output_is_pinned():
+    # the sweep rebuilds its quotient items through `quotient_identify`
+    # and exits 1 on any item with i > nacl
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_invariants.py"
+    done = subprocess.run([sys.executable, str(script), "--seed", "0", "--count", "200"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == SWEEP_OUTPUT
