@@ -18,8 +18,6 @@ from .complexes import (
     SemilatticeViolation,
     SimplicialComplex,
     VertexMap,
-    build_cubical,
-    build_simplicial,
     check_nondegenerate,
     compose_maps,
     face_poset,

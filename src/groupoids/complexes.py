@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ComplexError(ValueError):
@@ -124,10 +124,35 @@ def _check_dense_vertices(vertices: set[int]) -> int:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A pure simplicial complex listed by its facets."""
+    """A pure simplicial complex listed by its facets.
 
-    vertex_count: int
-    facets: tuple[tuple[int, ...], ...]  # sorted tuples, sorted (see `build_simplicial`)
+    Construction validates the facets: vertex ids must be ints (not
+    bools) and dense 0..n-1.  Impure, degenerate, or dominated input
+    aborts construction; silent repair would hide modeling errors.
+    """
+
+    vertex_count: int = field(init=False)
+    facets: tuple[tuple[int, ...], ...]  # stored as sorted tuples, sorted
+
+    def __post_init__(self):
+        raw = [tuple(_vertex_id(v) for v in f) for f in self.facets]
+        if not raw:
+            raise ComplexError("facet list is empty")
+        for f in raw:
+            if len(set(f)) != len(f):
+                raise DegenerateFacet(f"repeated vertex in facet {f}")
+        sizes = {len(f) for f in raw}
+        if len(sizes) != 1:
+            raise NonPure(f"mixed facet sizes {sorted(sizes)}")
+        # All facets have one size, so a facet inside another is a repeat of it.
+        sets = [frozenset(f) for f in raw]
+        first: dict[frozenset, int] = {}
+        repeats = [(i, j) for j, s in enumerate(sets) if (i := first.setdefault(s, j)) != j]
+        if repeats:
+            i, j = min(repeats)
+            raise DominatedFacet(f"facet {raw[i]} contained in {raw[j]}")
+        object.__setattr__(self, "vertex_count", _check_dense_vertices(set().union(*sets)))
+        object.__setattr__(self, "facets", tuple(sorted(tuple(sorted(f)) for f in raw)))
 
     @property
     def dim(self) -> int:
@@ -159,34 +184,6 @@ def _vertex_id(v) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ComplexError(f"vertex id {v!r} is not an integer")
     return v
-
-
-def build_simplicial(facets: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """Validate and build a pure simplicial complex.
-
-    Vertex ids must be ints (not bools).  Impure, degenerate, or
-    dominated input aborts construction; silent repair would hide
-    modeling errors.
-    """
-    raw = [tuple(_vertex_id(v) for v in f) for f in facets]
-    if not raw:
-        raise ComplexError("facet list is empty")
-    for f in raw:
-        if len(set(f)) != len(f):
-            raise DegenerateFacet(f"repeated vertex in facet {f}")
-    sizes = {len(f) for f in raw}
-    if len(sizes) != 1:
-        raise NonPure(f"mixed facet sizes {sorted(sizes)}")
-    # All facets have one size, so a facet inside another is a repeat of it.
-    sets = [frozenset(f) for f in raw]
-    first: dict[frozenset, int] = {}
-    repeats = [(i, j) for j, s in enumerate(sets) if (i := first.setdefault(s, j)) != j]
-    if repeats:
-        i, j = min(repeats)
-        raise DominatedFacet(f"facet {raw[i]} contained in {raw[j]}")
-    n = _check_dense_vertices(set().union(*sets))
-    canon = tuple(sorted(tuple(sorted(f)) for f in raw))
-    return SimplicialComplex(vertex_count=n, facets=canon)
 
 
 @lru_cache(maxsize=None)
@@ -244,15 +241,46 @@ def _cube_symmetry(addr: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...
 class CubicalComplex:
     """A pure cubical complex: each top cell is a corner-address map.
 
-    Construction runs `_check_semilattice`, so every complex's cells
-    meet in common faces, matched by cube symmetries.
+    Each cube lists its 2^k vertex ids in flat-corner order: entry x is
+    the corner whose coordinate j is bit j of x.  Construction reads the
+    cubes one at a time and validates them: vertex ids must be ints (not
+    bools) and dense 0..n-1, and every cube needs the same 2^k corners,
+    k >= 1.  Every cell must meet every face of the complex in one of
+    its own faces, checked as: any two cells that share a vertex meet in
+    one common face with the same face structure on both sides (see
+    `_check_semilattice`).  This is a deliberately stronger, checkable
+    stand-in for the semilattice condition, standard for regular CW
+    complexes.  Validation costs O(2^k) per pair of cubes that share a
+    vertex, so it is linear in the number of cubes for bounded vertex
+    degree and cube dimension; the 3^k faces of each cube are not listed.
     """
 
-    vertex_count: int
-    dim: int
+    vertex_count: int = field(init=False)
+    dim: int = field(init=False)
     cubes: tuple[tuple[int, ...], ...]  # cubes[c][flat corner index] = vertex
 
     def __post_init__(self):
+        normalized: list[tuple[int, ...]] = []
+        for cube in self.cubes:
+            corners = tuple(map(_vertex_id, cube))
+            size = len(corners)
+            if size < 2 or size & (size - 1):
+                raise ComplexError(f"cube {corners} has {size} corners, not a power of two above 1")
+            if normalized and size != len(normalized[0]):
+                raise NonPure("mixed cube dimensions")
+            if len(set(corners)) != size:
+                raise CornerCollision(f"repeated vertex in cube {corners}")
+            normalized.append(corners)
+        if not normalized:
+            raise ComplexError("cube list is empty")
+        object.__setattr__(self, "vertex_count",
+                           _check_dense_vertices({v for c in normalized for v in c}))
+        if len(set(map(frozenset, normalized))) != len(normalized):
+            raise SemilatticeViolation("two cells share all their vertices")
+        k = len(normalized[0]).bit_length() - 1
+        _face_template(k)  # count-checks the k-cube's face lattice, once per k
+        object.__setattr__(self, "dim", k)
+        object.__setattr__(self, "cubes", tuple(normalized))
         _check_semilattice(self)
 
     @property
@@ -286,46 +314,6 @@ class CubicalComplex:
     def dual(self) -> DualMultigraph:
         """The facet-adjacency multigraph, built once per complex."""
         return _dual_multigraph(self)
-
-
-def build_cubical(cubes: Iterable[Sequence[int]]) -> CubicalComplex:
-    """Validate and build a cubical complex from flat corner tuples.
-
-    Each cube lists its 2^k vertex ids in flat-corner order: entry x is
-    the corner whose coordinate j is bit j of x.  Vertex ids must be
-    ints (not bools), and every cube needs the same 2^k corners, k >= 1.
-    Every cell must meet every face of the complex in one of its own
-    faces, checked as: any two cells that share a vertex meet in one
-    common face with the same face structure on both sides (see
-    `_check_semilattice`).  This is a deliberately stronger, checkable
-    stand-in for the semilattice condition, standard for regular CW
-    complexes.  Validation costs O(2^k) per pair of cubes that share a
-    vertex, so it is linear in the number of cubes for bounded vertex
-    degree and cube dimension; the 3^k faces of each cube are not listed.
-    """
-    normalized: list[tuple[int, ...]] = []
-    for cube in cubes:
-        corners = tuple(map(_vertex_id, cube))
-        size = len(corners)
-        if size < 2 or size & (size - 1):
-            raise ComplexError(f"cube {corners} has {size} corners, not a power of two above 1")
-        if normalized and size != len(normalized[0]):
-            raise NonPure("mixed cube dimensions")
-        if len(set(corners)) != size:
-            raise CornerCollision(f"repeated vertex in cube {corners}")
-        normalized.append(corners)
-    if not normalized:
-        raise ComplexError("cube list is empty")
-
-    n = _check_dense_vertices({v for c in normalized for v in c})
-
-    vertex_sets = [frozenset(c) for c in normalized]
-    if len(set(vertex_sets)) != len(vertex_sets):
-        raise SemilatticeViolation("two cells share all their vertices")
-
-    k = len(normalized[0]).bit_length() - 1
-    _face_template(k)  # count-checks the k-cube's face lattice, once per k
-    return CubicalComplex(vertex_count=n, dim=k, cubes=tuple(normalized))
 
 
 def _check_semilattice(K: CubicalComplex) -> None:

@@ -20,8 +20,6 @@ from .complexes import (
     CubicalComplex,
     SimplicialComplex,
     bfs,
-    build_cubical,
-    build_simplicial,
     tree_path,
 )
 from .invariants import AdjacentVertices, SharedCell, quotient_identify
@@ -31,12 +29,12 @@ def cycle_complex(n: int) -> SimplicialComplex:
     """The n-cycle as a pure 1-dimensional complex."""
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    return build_simplicial([[i, (i + 1) % n] for i in range(n)])
+    return SimplicialComplex([[i, (i + 1) % n] for i in range(n)])
 
 
 def simplex_boundary(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex: all d-subsets of its d+1 vertices."""
-    return build_simplicial([list(c) for c in combinations(range(d + 1), d)])
+    return SimplicialComplex([list(c) for c in combinations(range(d + 1), d)])
 
 
 def octahedron_boundary() -> SimplicialComplex:
@@ -45,12 +43,12 @@ def octahedron_boundary() -> SimplicialComplex:
     The dual of the cube; balanced, so its holonomy is trivial.
     """
     facets = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-    return build_simplicial(facets)
+    return SimplicialComplex(facets)
 
 
 def triangle_strip(n: int) -> SimplicialComplex:
     """n triangles glued in a path; the dual graph is a tree."""
-    return build_simplicial([[i, i + 1, i + 2] for i in range(n)])
+    return SimplicialComplex([[i, i + 1, i + 2] for i in range(n)])
 
 
 def _intern() -> tuple[dict, "function"]:
@@ -76,7 +74,7 @@ def grid_patch(w: int, h: int, cells=None):
     cubes = []
     for x, y in cells:
         cubes.append((vid((x, y)), vid((x + 1, y)), vid((x, y + 1)), vid((x + 1, y + 1))))
-    K = build_cubical(cubes)
+    K = CubicalComplex(cubes)
     coords = [None] * len(table)
     for point, v in table.items():
         coords[v] = point
@@ -96,7 +94,7 @@ def cube_grid_patch(w: int, h: int, d: int, cells=None):
         for i, j, k in product((0, 1), repeat=3):
             corners[i | j << 1 | k << 2] = vid((x + i, y + j, z + k))
         cubes.append(tuple(corners))
-    K = build_cubical(cubes)
+    K = CubicalComplex(cubes)
     coords = [None] * len(table)
     for point, v in table.items():
         coords[v] = point
@@ -105,7 +103,7 @@ def cube_grid_patch(w: int, h: int, d: int, cells=None):
 
 def single_cube(k: int) -> CubicalComplex:
     """One solid k-cube."""
-    return build_cubical([range(1 << k)])
+    return CubicalComplex([range(1 << k)])
 
 
 def cube_skeleton(d: int, k: int):
@@ -123,7 +121,7 @@ def cube_skeleton(d: int, k: int):
             base = sum(((mask >> i) & 1) << c for i, c in enumerate(frozen))
             cubes.append(tuple(base + sum(((sub >> i) & 1) << c for i, c in enumerate(free))
                                for sub in range(1 << k)))
-    K = build_cubical(cubes)
+    K = CubicalComplex(cubes)
     coords = [tuple(2 * ((v >> j) & 1) - 1 for j in range(d))
               for v in range(K.vertex_count)]
     return K, coords
@@ -146,7 +144,7 @@ def strip_complex(n: int, twisted: bool = False) -> CubicalComplex:
         cubes.append((a[n - 1], b[0], b[n - 1], a[0]))
     else:
         cubes.append((a[n - 1], a[0], b[n - 1], b[0]))
-    return build_cubical(cubes)
+    return CubicalComplex(cubes)
 
 
 def quotient_example() -> CubicalComplex:

@@ -17,7 +17,6 @@ from .complexes import (
     CubicalComplex,
     SimplicialComplex,
     bfs,
-    build_cubical,
     facet_adjacency,
     tree_path,
 )
@@ -187,7 +186,7 @@ def quotient_identify(K: CubicalComplex, u: int, v: int) -> CubicalComplex:
             w = keep
         return w - 1 if w > drop else w
 
-    return build_cubical(tuple(map(relabel, c)) for c in K.cubes)
+    return CubicalComplex(tuple(map(relabel, c)) for c in K.cubes)
 
 
 def lattice_parity_coloring(vertices: Sequence[tuple[int, ...]]) -> TwoColoring:

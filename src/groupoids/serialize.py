@@ -28,8 +28,6 @@ from .complexes import (
     NonPure,
     SimplicialComplex,
     _vertex_id,
-    build_cubical,
-    build_simplicial,
 )
 from .games import LabelledState
 from .graphconn import GraphConnection
@@ -72,13 +70,13 @@ def parse_complex(obj) -> SimplicialComplex | CubicalComplex | Groupoid:
     kind = obj["kind"]
     try:
         if kind == "simplicial":
-            return build_simplicial(obj["facets"])
+            return SimplicialComplex(obj["facets"])
         if kind == "cubical":
             cubes = obj["cubes"]
             k = obj.get("dim")
             if k is not None and type(k) is not int:   # bool is an int subclass
                 raise ParseError(f"cubical dim {k!r} is not an integer")
-            return build_cubical(_flat_cubes(cubes, k))
+            return CubicalComplex(_flat_cubes(cubes, k))
         if kind == "builtin":
             if obj.get("name") == "tribar":
                 return tribar_groupoid()
@@ -98,7 +96,7 @@ def _corner_keys(k: int) -> list[str]:
 
 def _flat_cubes(cubes, dim: int | None):
     """Each cube's corner-key map as a flat corner tuple, checked cube by
-    cube as `build_cubical` consumes them.  Every cube's keys must have
+    cube as `CubicalComplex` consumes them.  Every cube's keys must have
     the declared ``dim``; without one, the first key sets it."""
     k, corner_keys = dim, None
     for cube in cubes:

@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 from groupoids.complexes import (
     ComplexError,
     CornerCollision,
+    CubicalComplex,
     DegenerateFacet,
     DominatedFacet,
     NonPure,
     SemilatticeViolation,
     SimplicialComplex,
     VertexMap,
-    build_cubical,
-    build_simplicial,
     check_nondegenerate,
     compose_maps,
     face_poset,
@@ -33,9 +32,11 @@ from groupoids.corpus import (
     cube_skeleton,
     cycle_complex,
     grid_patch,
+    octahedron_boundary,
     random_corpus,
     simplex_boundary,
     strip_complex,
+    triangle_strip,
 )
 from groupoids.cli import main
 from groupoids.games import grid_puzzle, ordered_state
@@ -46,6 +47,7 @@ from groupoids.homcx import complete_graph, cycle_graph
 from groupoids.invariants import compare_invariants, nacl
 from groupoids.serialize import (
     ParseError,
+    _corner_keys,
     complex_to_dict,
     connection_to_dict,
     load_complex,
@@ -64,10 +66,10 @@ def _scrambled_fixtures():
 
 
 def test_build_simplicial_examples():
-    tri = build_simplicial([[0, 1, 2]])
+    tri = SimplicialComplex([[0, 1, 2]])
     assert tri.dim == 2
     assert tri.facets == ((0, 1, 2),)
-    c3 = build_simplicial([[0, 1], [1, 2], [2, 0]])
+    c3 = SimplicialComplex([[0, 1], [1, 2], [2, 0]])
     assert c3.dim == 1
     assert len(c3.facets) == 3
 
@@ -81,17 +83,17 @@ def test_build_simplicial_examples():
 ])
 def test_build_simplicial_rejects(facets, err):
     with pytest.raises(err):
-        build_simplicial(facets)
+        SimplicialComplex(facets)
 
 
 def test_sparse_vertex_ids_rejected():
     with pytest.raises(ComplexError):
-        build_simplicial([[0, 2]])
+        SimplicialComplex([[0, 2]])
 
 
 def test_face_poset_counts():
-    assert len(face_poset(build_simplicial([[0, 1, 2]])).elements) == 7
-    square = build_cubical([(0, 2, 1, 3)])
+    assert len(face_poset(SimplicialComplex([[0, 1, 2]])).elements) == 7
+    square = CubicalComplex([(0, 2, 1, 3)])
     assert len(face_poset(square).elements) == 9
     assert len(face_poset(simplex_boundary(3)).elements) == 14
 
@@ -130,7 +132,7 @@ def test_cubical_face_poset_covers_match_brute_force():
 
 
 def test_build_cubical_examples():
-    square = build_cubical([(0, 2, 1, 3)])
+    square = CubicalComplex([(0, 2, 1, 3)])
     assert square.dim == 2
     assert len(square.cubes) == 1
     grid, _ = grid_patch(2, 2)
@@ -141,12 +143,12 @@ def test_build_cubical_examples():
 
 def test_build_cubical_rejects():
     with pytest.raises(CornerCollision):
-        build_cubical([(0, 2, 1, 0)])
+        CubicalComplex([(0, 2, 1, 0)])
     # two squares meeting in two diagonal vertices
     with pytest.raises(SemilatticeViolation):
-        build_cubical([(0, 2, 1, 3), (3, 5, 4, 0)])
+        CubicalComplex([(0, 2, 1, 3), (3, 5, 4, 0)])
     with pytest.raises(NonPure):
-        build_cubical([(0, 2, 1, 3), (0, 1)])
+        CubicalComplex([(0, 2, 1, 3), (0, 1)])
 
 
 def test_cubical_downset_counts_cube():
@@ -172,7 +174,7 @@ def test_facet_adjacency_examples():
     assert dual_cube.edges == ()
     # dimension 1: the ridge is a vertex; one dual edge per facet pair
     # per shared vertex, so the three edges at vertex 0 contribute C(3,2)
-    tree = build_simplicial([[0, 1], [1, 2], [2, 0], [0, 3]])
+    tree = SimplicialComplex([[0, 1], [1, 2], [2, 0], [0, 3]])
     dual_tree = facet_adjacency(tree)
     assert len(dual_tree.edges) == 5
     for i, j, rid in dual_tree.edges:
@@ -202,7 +204,7 @@ def test_check_nondegenerate_examples():
     c6 = cycle_complex(6)
     cover = VertexMap(c6, c3, {v: v % 3 for v in range(6)})
     assert check_nondegenerate(cover)
-    k2 = build_simplicial([[0, 1]])
+    k2 = SimplicialComplex([[0, 1]])
     collapse = VertexMap(c3, k2, {0: 0, 1: 1, 2: 0})
     report = check_nondegenerate(collapse)
     assert not report
@@ -245,13 +247,13 @@ def test_cubical_face_structure_consistency_enforced():
     base = tuple(range(8))
     twisted_top = tuple(range(4, 12))
     # sanity: straight stacking is fine
-    build_cubical([base, twisted_top])
+    CubicalComplex([base, twisted_top])
     twisted_top_bad = list(twisted_top)
     # swap two corners on the shared square: its edges now run diagonally
     twisted_top_bad[2], twisted_top_bad[3] = 7, 6
     # the shared vertex set {4,5,6,7} carries two edge structures
     with pytest.raises(SemilatticeViolation):
-        build_cubical([base, twisted_top_bad])
+        CubicalComplex([base, twisted_top_bad])
 
 
 # --- The near-linear build against the pairwise rules it replaced ---
@@ -308,7 +310,7 @@ def _old_cubical_verdict(cubes, k):
 
 def _new_cubical_verdict(cubes, k):
     try:
-        build_cubical(cubes)
+        CubicalComplex(cubes)
     except ComplexError as e:
         return type(e)
     return None
@@ -428,13 +430,13 @@ def test_simplicial_skeleton_edges_match_the_face_dict():
                  if not path.name.endswith(("-state.json", "-connection.json"))
                  and isinstance(K := load_complex(path), SimplicialComplex)]
     assert len(complexes) >= 10
-    complexes += [simplex_boundary(d) for d in (1, 2, 4)] + [build_simplicial([[0], [1], [2]])]
+    complexes += [simplex_boundary(d) for d in (1, 2, 4)] + [SimplicialComplex([[0], [1], [2]])]
     for K in complexes:
         edges = [tuple(sorted(fs)) for fs, d in K.faces.items() if d == 1]
         assert K.skeleton_edges == tuple(sorted(edges))
 
 
-def _old_build_simplicial(facets):
+def _old_simplicial_checks(facets):
     raw = [tuple(f) for f in facets]
     for f in raw:
         if len(set(f)) != len(f):
@@ -463,7 +465,7 @@ def test_duplicate_facet_check_matches_dominated_loop():
         if rng.random() < 0.2:
             facets.insert(rng.randrange(len(facets)), rng.sample(range(d + 3), d))
         verdicts = []
-        for build in (_old_build_simplicial, build_simplicial):
+        for build in (_old_simplicial_checks, SimplicialComplex):
             try:
                 build(facets)
                 verdicts.append(None)
@@ -477,7 +479,7 @@ def test_duplicate_facet_check_matches_dominated_loop():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_face_template_matches_per_cube_faces(k):
     corners = tuple(random.Random(k).sample(range(1 << k), 1 << k))
-    K = build_cubical([corners])
+    K = CubicalComplex([corners])
     assert list(K.cube_face_lists[0]) == [(free, verts) for free, _, verts
                                           in _old_cube_faces(corners, k)]
 
@@ -492,7 +494,7 @@ def test_face_template_matches_per_cube_faces(k):
 ])
 def test_build_cubical_rejects_bad_input(cubes):
     with pytest.raises(ComplexError):
-        build_cubical(cubes)
+        CubicalComplex(cubes)
 
 
 @pytest.mark.parametrize("cubes", [
@@ -511,7 +513,7 @@ def test_parse_complex_refuses_bad_cubes(cubes):
 @pytest.mark.parametrize("facets", [[[0, True]], [[0, 1.0]], [["a", "b"]], [[0, None]]])
 def test_build_simplicial_rejects_non_integer_ids(facets):
     with pytest.raises(ComplexError, match="is not an integer"):
-        build_simplicial(facets)
+        SimplicialComplex(facets)
 
 
 _json_scalars = st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text("01a", max_size=3)
@@ -540,10 +542,10 @@ def test_parse_complex_raises_only_input_errors(obj):
         pass
 
 
-# --- corner keys against the mapping parser that `build_cubical` once ran ---
+# --- corner keys against the mapping parser that cube construction once ran ---
 
-def _reference_build_cubical(cubes):
-    """The corner-key parsing of `build_cubical` from when it took
+def _reference_cubical(cubes):
+    """The corner-key parsing of cube construction from when it took
     corner-address maps, verbatim; the flat tuples it made go on through
     the checks that did not change."""
     normalized = []
@@ -575,7 +577,7 @@ def _reference_build_cubical(cubes):
         normalized.append(tuple(corners))
     if k is None:
         raise ComplexError("cube list is empty")
-    return build_cubical(normalized)
+    return CubicalComplex(normalized)
 
 
 def _parse_outcome(parse, cubes):
@@ -590,7 +592,7 @@ def _parse_outcome(parse, cubes):
 
 def _reference_parse(cubes):
     try:
-        return _reference_build_cubical(cubes)
+        return _reference_cubical(cubes)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"invalid cubical complex: {e}") from e
 
@@ -639,6 +641,136 @@ def test_parse_complex_checks_the_declared_dim_on_every_cube():
         parse_complex({"kind": "cubical", "dim": 2, "cubes": [square, {"0": 3, "1": 4}]})
     with pytest.raises(ParseError, match="^invalid cubical complex: mixed cube dimensions$"):
         parse_complex({"kind": "cubical", "cubes": [square, {"0": 3, "1": 4}]})
+
+
+# --- each constructor runs every check, and the parser reports the same ---
+
+def test_the_constructors_derive_what_the_cells_fix():
+    # vertex_count and dim are read off the cells, so a mismatch cannot be passed in
+    with pytest.raises(TypeError):
+        CubicalComplex(vertex_count=3, dim=2, cubes=((0, 1, 2, 0),))
+    with pytest.raises(TypeError):
+        SimplicialComplex(vertex_count=2, facets=((0, 0, 5), (3, 1)))
+    with pytest.raises(CornerCollision, match=r"^repeated vertex in cube \(0, 1, 2, 0\)$"):
+        CubicalComplex(((0, 1, 2, 0),))
+    with pytest.raises(DegenerateFacet, match=r"^repeated vertex in facet \(0, 0, 5\)$"):
+        SimplicialComplex(((0, 0, 5), (3, 1)))
+    K = CubicalComplex(iter([(0, 1, 2, 3), (2, 3, 4, 5)]))
+    assert (K.vertex_count, K.dim, K.cubes) == (6, 2, ((0, 1, 2, 3), (2, 3, 4, 5)))
+
+
+def test_cube_construction_stops_at_the_first_faulty_cube():
+    read = []
+
+    def cubes():
+        for cube in [(0, 1, 2, 3), (2, 3, 4, 2), (4, 5, 6, 7)]:
+            read.append(cube)
+            yield cube
+
+    with pytest.raises(CornerCollision):
+        CubicalComplex(cubes())
+    assert len(read) == 2
+
+
+_CUBE_FAULTS = {   # fault -> (exception type, message pattern)
+    "bool id": (ComplexError, "^vertex id (True|False) is not an integer$"),
+    "corner count": (ComplexError, "corners, not a power of two above 1$"),
+    "mixed sizes": (NonPure, "^mixed cube dimensions$"),
+    "repeated corner": (CornerCollision, "^repeated vertex in cube "),
+    "id gap": (ComplexError, "^vertex ids must be dense "),
+    "repeated vertex set": (SemilatticeViolation, "^two cells share all their vertices$"),
+}
+
+
+def _shift_ids_from(cells, v):
+    return [[w + (w >= v) for w in cell] for cell in cells]
+
+
+@st.composite
+def _faulty_cubes(draw, fault):
+    """A valid k-complex's flat cubes with one fault of the given kind, and k."""
+    K = draw(st.sampled_from(_KEY_SOURCES))
+    cubes = [list(c) for c in K.cubes]
+    c = draw(st.integers(0, len(cubes) - 1))
+    x, y = draw(st.permutations(range(len(cubes[c]))))[:2]
+    if fault == "bool id":
+        cubes[c][x] = draw(st.booleans())
+    elif fault == "corner count":
+        size = draw(st.sampled_from([s for s in range(len(cubes[c])) if s < 2 or s & (s - 1)]))
+        cubes[c] = cubes[c][:size]
+    elif fault == "mixed sizes":
+        cubes[c] += range(K.vertex_count, K.vertex_count + len(cubes[c]))
+    elif fault == "repeated corner":
+        cubes[c][x] = cubes[c][y]
+    elif fault == "id gap":
+        cubes = _shift_ids_from(cubes, draw(st.integers(0, K.vertex_count - 1)))
+    else:
+        cubes.insert(draw(st.integers(0, len(cubes))), cubes[c][::-1])
+    return [tuple(cube) for cube in cubes], K.dim
+
+
+def _corner_map(cube, k):
+    """A flat cube's JSON corner-key map, for a cube cut from or doubled
+    from a k-cube: a cut cube keeps the keys of its first corners."""
+    return dict(zip(_corner_keys(max(k, (len(cube) - 1).bit_length())), cube))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_CUBE_FAULTS)), st.data())
+def test_a_faulty_cube_list_raises_alike_through_the_constructor_and_the_parser(fault, data):
+    cubes, k = data.draw(_faulty_cubes(fault))
+    err, pattern = _CUBE_FAULTS[fault]
+    with pytest.raises(err, match=pattern) as built:
+        CubicalComplex(cubes)
+    assert type(built.value) is err
+    with pytest.raises(ParseError) as parsed:
+        parse_complex({"kind": "cubical", "cubes": [_corner_map(c, k) for c in cubes]})
+    assert type(parsed.value.__cause__) is err
+    # corner keys name all 2^k corners of a k-cube, so a count that is not
+    # a power of two has no JSON form: the parser reports the missing corners
+    if fault != "corner count":
+        assert str(parsed.value) == f"invalid cubical complex: {built.value}"
+
+
+_FACET_FAULTS = {   # fault -> (exception type, message pattern)
+    "degenerate": (DegenerateFacet, "^repeated vertex in facet "),
+    "impure": (NonPure, "^mixed facet sizes "),
+    "dominated": (DominatedFacet, " contained in "),
+    "id gap": (ComplexError, "^vertex ids must be dense "),
+}
+_FACET_SOURCES = [cycle_complex(5), simplex_boundary(3), octahedron_boundary(), triangle_strip(4)]
+
+
+@st.composite
+def _faulty_facets(draw, fault):
+    """A valid complex's facets with one fault of the given kind."""
+    K = draw(st.sampled_from(_FACET_SOURCES))
+    facets = [list(f) for f in K.facets]
+    i = draw(st.integers(0, len(facets) - 1))
+    x, y = draw(st.permutations(range(len(facets[i]))))[:2]
+    if fault == "degenerate":
+        facets[i][x] = facets[i][y]
+    elif fault == "impure":
+        del facets[i][x]
+    elif fault == "dominated":
+        facets.insert(draw(st.integers(0, len(facets))), facets[i][::-1])
+    else:
+        facets = _shift_ids_from(facets, draw(st.integers(0, K.vertex_count - 1)))
+    return facets
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_FACET_FAULTS)), st.data())
+def test_a_faulty_facet_list_raises_alike_through_the_constructor_and_the_parser(fault, data):
+    facets = data.draw(_faulty_facets(fault))
+    err, pattern = _FACET_FAULTS[fault]
+    with pytest.raises(err, match=pattern) as built:
+        SimplicialComplex(facets)
+    assert type(built.value) is err
+    with pytest.raises(ParseError) as parsed:
+        parse_complex({"kind": "simplicial", "facets": facets})
+    assert type(parsed.value.__cause__) is err
+    assert str(parsed.value) == f"invalid simplicial complex: {built.value}"
 
 
 _oriented = (st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda e: f"{e[0]},{e[1]}")

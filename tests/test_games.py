@@ -39,8 +39,8 @@ def test_game_groupoid_from_complex():
 
 
 def test_single_facet_game():
-    from groupoids.complexes import build_simplicial
-    g = Groupoid.from_complex(build_simplicial([[0, 1, 2]]))
+    from groupoids.complexes import SimplicialComplex
+    g = Groupoid.from_complex(SimplicialComplex([[0, 1, 2]]))
     assert g.object_count == 1
     assert g.dual.edges == ()
 

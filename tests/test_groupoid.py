@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from test_flip_tuples import corner_map_signed, slot_perm
 
-from groupoids.complexes import _cube_symmetry, build_cubical, build_simplicial
+from groupoids.complexes import CubicalComplex, SimplicialComplex, _cube_symmetry
 from groupoids.corpus import (
     cycle_complex,
     grid_patch,
@@ -23,14 +23,14 @@ from groupoids.permgroup import Perm, SignedPerm, signed_parity
 
 
 def test_flip_two_triangles():
-    g = Groupoid.from_complex(build_simplicial([[0, 1, 2], [1, 2, 3]]))
+    g = Groupoid.from_complex(SimplicialComplex([[0, 1, 2], [1, 2, 3]]))
     ((i, j, rid),) = g.dual.edges
     assert (i, j, g.dual.ridges[rid]) == (0, 1, (1, 2))
     assert g.vertex_map(0, 1, rid) == {0: 3, 1: 1, 2: 2}
 
 
 def test_flip_two_edges():
-    g = Groupoid.from_complex(build_simplicial([[0, 1], [1, 2]]))
+    g = Groupoid.from_complex(SimplicialComplex([[0, 1], [1, 2]]))
     ((i, j, rid),) = g.dual.edges
     assert (i, j, g.dual.ridges[rid]) == (0, 1, (1,))
     assert g.vertex_map(0, 1, rid) == {0: 2, 1: 1}
@@ -54,7 +54,7 @@ def brute_force_square_flips(K, i, j, ridge):
 
 
 def test_flip_two_squares_matches_brute_force():
-    K = build_cubical([(0, 2, 1, 3), (2, 4, 3, 5)])
+    K = CubicalComplex([(0, 2, 1, 3), (2, 4, 3, 5)])
     g = Groupoid.from_complex(K)
     ((i, j, rid),) = g.dual.edges
     assert (i, j, g.dual.ridges[rid]) == (0, 1, (2, 3))

@@ -5,7 +5,7 @@ import pytest
 from test_flip_tuples import slot_perm
 from test_jordan import NOT_GIANT, loops_groupoid, random_connection
 
-from groupoids.complexes import DualMultigraph, VertexMap, build_simplicial
+from groupoids.complexes import DualMultigraph, SimplicialComplex, VertexMap
 from groupoids.corpus import (
     bundled_dir,
     cube_skeleton,
@@ -36,14 +36,14 @@ from groupoids.serialize import load_complex, load_json, parse_connection
 
 def test_is_strongly_connected():
     assert is_strongly_connected(simplex_boundary(3))
-    two_triangles = build_simplicial([[0, 1, 2], [3, 4, 5]])
+    two_triangles = SimplicialComplex([[0, 1, 2], [3, 4, 5]])
     assert not is_strongly_connected(two_triangles)
-    shared_vertex = build_simplicial([[0, 1, 2], [0, 3, 4]])
+    shared_vertex = SimplicialComplex([[0, 1, 2], [0, 3, 4]])
     assert not is_strongly_connected(shared_vertex)
 
 
 def test_single_simplex_trivial():
-    r = holonomy_group(build_simplicial([[0, 1, 2]]))
+    r = holonomy_group(SimplicialComplex([[0, 1, 2]]))
     assert r.order == 1
     assert r.tag == "trivial"
 
@@ -61,7 +61,7 @@ def test_holonomy_degree_is_slot_count():
 
 
 def test_not_connected_raises():
-    K = build_simplicial([[0, 1, 2], [3, 4, 5]])
+    K = SimplicialComplex([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(NotConnected):
         holonomy_group(K)
 
@@ -168,7 +168,7 @@ def test_outer_group_comparison():
     # simplex realizes only the identity
     r = holonomy_group(cycle_complex(3))
     assert not r.is_proper_subgroup_of_outer
-    r2 = holonomy_group(build_simplicial([[0, 1, 2]]))
+    r2 = holonomy_group(SimplicialComplex([[0, 1, 2]]))
     assert r2.is_proper_subgroup_of_outer
 
 
@@ -190,7 +190,7 @@ def test_induced_embedding_identity():
 
 def test_induced_embedding_rejects_degenerate():
     c3 = cycle_complex(3)
-    k2 = build_simplicial([[0, 1]])
+    k2 = SimplicialComplex([[0, 1]])
     collapse = VertexMap(c3, k2, {0: 0, 1: 1, 2: 0})
     with pytest.raises(NotNondegenerate):
         induced_embedding_check(collapse)

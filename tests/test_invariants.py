@@ -1,6 +1,6 @@
 import pytest
 
-from groupoids.complexes import build_cubical, build_simplicial
+from groupoids.complexes import CubicalComplex, SimplicialComplex
 from groupoids.corpus import (
     cube_grid_patch,
     cube_skeleton,
@@ -34,7 +34,7 @@ def test_nacl_examples():
     assert nacl(single_cube(3)).value == 0
     grid, _ = grid_patch(3, 3)
     assert nacl(grid).value == 0
-    assert nacl(build_simplicial([[0, 1, 2]])).value == 1
+    assert nacl(SimplicialComplex([[0, 1, 2]])).value == 1
 
 
 def test_nacl_witnesses():
@@ -128,7 +128,7 @@ def test_parity_flips_across_any_lattice_edge():
 
 
 def test_transport_coloring_triangle():
-    coloring = transport_coloring(build_simplicial([[0, 1, 2]]))
+    coloring = transport_coloring(SimplicialComplex([[0, 1, 2]]))
     assert sorted(coloring.color.values()) == [0, 1, 2]
 
 
@@ -161,10 +161,10 @@ def test_transport_coloring_rejections():
         transport_coloring(cycle_complex(3))
     with pytest.raises(NontrivialHolonomy):
         transport_coloring(simplex_boundary(3))
-    stars = build_cubical([(0, 2, 1, 3), (3, 5, 4, 6)])
+    stars = CubicalComplex([(0, 2, 1, 3), (3, 5, 4, 6)])
     with pytest.raises((NotLocallyConnected, NotConnected)):
         transport_coloring(stars)
-    disconnected = build_simplicial([[0, 1, 2], [3, 4, 5]])
+    disconnected = SimplicialComplex([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(NotConnected):
         transport_coloring(disconnected)
 
@@ -172,7 +172,7 @@ def test_transport_coloring_rejections():
 def test_locally_strongly_connected_examples():
     assert locally_strongly_connected(simplex_boundary(3))
     assert locally_strongly_connected(single_cube(3))
-    two_squares = build_cubical([(0, 2, 1, 3), (3, 5, 4, 6)])
+    two_squares = CubicalComplex([(0, 2, 1, 3), (3, 5, 4, 6)])
     assert not locally_strongly_connected(two_squares)
 
 

@@ -26,7 +26,6 @@ from groupoids.complexes import (
     SimplicialComplex,
     _cube_symmetry,
     _faces_of_dim,
-    build_cubical,
 )
 from groupoids.corpus import bundled_dir, cube_skeleton, random_corpus
 from groupoids.groupoid import Groupoid, _exchange
@@ -181,12 +180,10 @@ def test_positions_stay_out_of_equality_and_repr():
 
 def test_a_twisted_shared_square_fails_the_cube_symmetry_check():
     """Two cubes can share a square whose corners pair by vertex into no
-    cube symmetry; no complex holds them, built by `build_cubical` or
-    not, so no flip has to refuse them."""
+    cube symmetry; the one constructor refuses them, so no complex holds
+    them and no flip has to refuse them."""
     first = tuple(range(8))
     second = [4 + i for i in range(8)]
     second[2], second[3] = 7, 6
     with pytest.raises(SemilatticeViolation, match="not a common face"):
-        CubicalComplex(vertex_count=12, dim=3, cubes=(first, tuple(second)))
-    with pytest.raises(SemilatticeViolation, match="not a common face"):
-        build_cubical([first, second])
+        CubicalComplex([first, second])

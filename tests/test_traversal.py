@@ -12,7 +12,7 @@ from collections import deque
 
 import pytest
 
-from groupoids.complexes import bfs, build_simplicial, tree_path
+from groupoids.complexes import SimplicialComplex, bfs, tree_path
 from groupoids.corpus import cube_skeleton, random_corpus
 from groupoids.groupoid import Groupoid
 from groupoids.invariants import nacl
@@ -138,7 +138,7 @@ def random_graph_complexes(seed: int, count: int):
         if not edges:
             continue
         rename = {v: i for i, v in enumerate(rng.sample(used, len(used)))}
-        out.append(build_simplicial([(rename[a], rename[b]) for a, b in edges]))
+        out.append(SimplicialComplex([(rename[a], rename[b]) for a, b in edges]))
     return out
 
 
