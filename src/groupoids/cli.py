@@ -25,7 +25,6 @@ from .homcx import (
     HOM_BUDGET,
     TooLarge,
     check_budget,
-    euler_characteristic,
     f_vector,
     hom_complex,
     induced_swap_action,
@@ -153,11 +152,12 @@ def cmd_hom(args) -> int:
     default = "fvector,euler,free-action" if g == 2 else "fvector,euler"
     wanted = (args.report or default).split(",")
     results: dict = {"g": args.g, "h": args.h, "cells": len(cells)}
+    fvector = f_vector(cells)   # counted once for both reports
     for item in wanted:
         if item == "fvector":
-            results["fvector"] = list(f_vector(cells))
+            results["fvector"] = list(fvector)
         elif item == "euler":
-            results["euler"] = euler_characteristic(cells)
+            results["euler"] = sum(fvector[::2]) - sum(fvector[1::2])
         elif item == "free-action":
             if g != 2:
                 raise ParseError("free-action report needs --g k2")
