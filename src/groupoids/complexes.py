@@ -132,7 +132,7 @@ class SimplicialComplex:
     """
 
     vertex_count: int = field(init=False)
-    facets: tuple[tuple[int, ...], ...]  # stored as sorted tuples, sorted
+    facets: tuple[tuple[int, ...], ...]  # canonical: each facet sorted, then the facets sorted
 
     def __post_init__(self):
         raw = [tuple(_vertex_id(v) for v in f) for f in self.facets]
