@@ -5,6 +5,7 @@ The bundled files are committed so the test suite and CLI examples run
 offline; this script exists to rebuild them reproducibly.
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,8 @@ from groupoids.serialize import complex_to_dict, connection_to_dict, state_to_di
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     out = Path(__file__).resolve().parents[1] / "src" / "groupoids" / "corpus_data"
     out.mkdir(exist_ok=True)
 

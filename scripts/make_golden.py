@@ -29,10 +29,10 @@ Run it on the commit whose output the tests should pin:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 from groupoids.cli import main
@@ -129,4 +129,8 @@ def write(target: Path) -> None:
 
 
 if __name__ == "__main__":
-    write(Path(sys.argv[1] if len(sys.argv) > 1 else "tests/golden"))
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("target", nargs="?", default="tests/golden",
+                        help="output directory (default: tests/golden)")
+    write(Path(parser.parse_args().target))

@@ -16,6 +16,7 @@ arithmetic so that it does not depend on the package's own cube code.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -54,6 +55,8 @@ def scramble(doc: dict, seed: int) -> dict:
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     out = ROOT / "tests" / "complexes"
     out.mkdir(exist_ok=True)
     for name, (build, seed) in SOURCES.items():

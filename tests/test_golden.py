@@ -6,6 +6,9 @@ change that alters any report must regenerate them on purpose.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,22 @@ def test_golden_files_cover_every_case():
                          ids=[" ".join(r["argv"]) for _, r in RECORDS])
 def test_cli_matches_golden(command, record):
     assert make_golden.run_case(record["argv"]) == record
+
+
+@pytest.mark.parametrize("script", ["make_golden.py", "make_corpus.py", "make_test_complexes.py"])
+def test_generator_help_writes_nothing(script, tmp_path):
+    """``--help`` prints usage and writes no file, here or in the folders
+    the scripts regenerate."""
+    folders = (GOLDEN, ROOT / "tests" / "complexes", ROOT / "src" / "groupoids" / "corpus_data")
+
+    def stamps():
+        return {p: p.stat().st_mtime_ns for folder in folders for p in folder.iterdir()}
+
+    before = stamps()
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+    assert list(tmp_path.iterdir()) == []
+    assert stamps() == before
