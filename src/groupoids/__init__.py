@@ -100,12 +100,10 @@ from .permgroup import (
     Perm,
     PermGroup,
     SignedPerm,
-    all_in_even_subgroup,
     closure_small,
     jordan_giant,
     recognize,
     schreier_sims,
-    signed_parity,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Validated combinatorial ground objects.
 
 Ranked posets, pure simplicial complexes, cubical complexes given by
-corner-address maps, vertex maps between complexes, and the dual
-multigraph of facet adjacencies, plus the breadth-first search that the
-package's graph walks share.  Construction validates everything up
-front; afterwards all values are immutable and safe to share.
+corner-address maps, vertex maps between complexes, the dual multigraph of
+facet adjacencies, the breadth-first search that the package's graph walks
+share, and the Z_2 potential built on it.  Construction validates everything
+up front; afterwards all values are immutable and safe to share.
 
 Vertex identifiers are dense integers 0..n-1 throughout.  A k-cube is a
 map from corner addresses {0,1}^k to vertices, given and stored as the
@@ -62,6 +62,32 @@ def bfs(start, neighbours) -> dict:
                 parent[v] = u
                 order.append(v)
     return parent
+
+
+def z2_potential(n: int, neighbours) -> tuple[dict, dict, tuple | None]:
+    """A Z_2 potential p of an edge labelling on nodes 0..n-1, by ``bfs``.
+
+    ``neighbours(u)`` yields ``(v, label)`` pairs.  Each node no earlier
+    search reached starts one at p = 0, and p[v] = p[u] ^ label is set
+    when v is first reached.  Returns the parents and p, in visiting
+    order, and the first edge (u, v) in that order with p[u] ^ p[v] !=
+    label: None iff the labels are a coboundary.
+    """
+    parent, potential, clash = {}, {}, []
+
+    def step(u):
+        for v, label in neighbours(u):
+            if v not in potential:
+                potential[v] = potential[u] ^ label
+            elif not clash and potential[u] ^ potential[v] != label:
+                clash.append((u, v))
+            yield v
+
+    for start in range(n):
+        if start not in potential:
+            potential[start] = 0
+            parent |= bfs(start, step)
+    return parent, potential, clash[0] if clash else None
 
 
 def tree_path(parent: dict, v) -> list:

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .complexes import bfs
+from .complexes import bfs, z2_potential
 from .groupoid import Groupoid, _exchange
 from .holonomy import HolonomyResult, holonomy
 from .homcx import TooLarge
@@ -115,7 +115,8 @@ class Puzzle:
         if self.cell_count < 3 or self.cell_count == 7 \
                 or all(len(ns) == 2 for ns in simple) or _has_cut_vertex(simple):
             return None
-        colours = _two_colouring(simple)
+        _, potential, clash = z2_potential(len(simple), lambda u: ((v, 1) for v in simple[u]))
+        colours = None if clash else tuple(map(potential.__getitem__, range(len(simple))))
         return GiantGroup(self.piece_count, alternating=colours is not None), colours
 
     @cached_property
@@ -274,17 +275,6 @@ def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:
                 if low[u] >= disc[parent]:
                     return True
     return root_children > 1
-
-
-def _two_colouring(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """The colours of a connected graph's cells by BFS depth parity, or
-    None when some edge joins two cells of one colour (not bipartite)."""
-    colour = [0] * len(adjacency)
-    for v, p in bfs(0, adjacency.__getitem__).items():
-        colour[v] = 0 if p is None else 1 - colour[p]
-    if any(colour[u] == colour[v] for u, ns in enumerate(adjacency) for v in ns):
-        return None
-    return tuple(colour)
 
 
 def puzzle_holonomy(board: Puzzle, base_hole: int = 0) -> PermGroup | GiantGroup:

@@ -1,10 +1,12 @@
 """Obstruction invariants for cubical complexes and transport colorings.
 
-Two Z_2-valued invariants are computed and compared: the holonomy
-parity invariant (0 iff every transport loop is an even signed
-permutation of cube directions) and the salt-crystal invariant ``nacl``
-(0 iff the vertex-edge graph is bipartite).  The first never exceeds
-the second, and under global plus local strong connectivity they agree;
+Two Z_2-valued invariants are computed and compared, each as a Z_2
+potential (``z2_potential``): the holonomy parity invariant i (0 iff
+every transport loop is an even signed permutation of cube directions)
+on the dual graph, each edge labelled by its flip's sign-count parity,
+and the salt-crystal invariant ``nacl`` (0 iff the vertex-edge graph is
+bipartite) on the 1-skeleton, every edge labelled 1.  i never exceeds
+nacl, and under global plus local strong connectivity they agree;
 vertex identifications build complexes where they differ.
 """
 
@@ -16,13 +18,14 @@ from typing import Sequence
 from .complexes import (
     CubicalComplex,
     SimplicialComplex,
+    _faces_of_dim,
     bfs,
     facet_adjacency,
     tree_path,
+    z2_potential,
 )
 from .groupoid import Groupoid
 from .holonomy import NotConnected, holonomy
-from .permgroup import all_in_even_subgroup
 
 
 class AdjacentVertices(ValueError):
@@ -81,21 +84,13 @@ def nacl(K: SimplicialComplex | CubicalComplex) -> NaclResult:
     or the odd cycle closed by the first edge, in visiting order, whose
     ends share a colour.
     """
-    adj: dict[int, list[int]] = {v: [] for v in range(K.vertex_count)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(K.vertex_count)]
     for a, b in K.skeleton_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent: dict[int, int | None] = {}
-    for start in range(K.vertex_count):
-        if start not in parent:
-            parent |= bfs(start, adj.__getitem__)
-    color: dict[int, int] = {}
-    for v, p in parent.items():
-        color[v] = 0 if p is None else 1 - color[p]
-    for u in parent:
-        for v in adj[u]:
-            if color[u] == color[v]:
-                return NaclResult(1, None, _odd_cycle(parent, u, v))
+        adj[a].append((b, 1))
+        adj[b].append((a, 1))
+    parent, color, clash = z2_potential(K.vertex_count, adj.__getitem__)
+    if clash is not None:
+        return NaclResult(1, None, _odd_cycle(parent, *clash))
     return NaclResult(0, TwoColoring(color), None)
 
 
@@ -112,18 +107,22 @@ def _odd_cycle(parent: dict, u: int, v: int) -> tuple[int, ...]:
 
 
 def i_invariant(K: CubicalComplex) -> int:
-    """0 iff every holonomy generator is an even signed permutation.
+    """0 iff every holonomy loop is an even signed permutation.
 
-    Sign parity is a homomorphism onto Z_2, so checking generators
-    settles the whole group.  Disconnected complexes are checked one
-    dual component at a time.
+    Sign-count parity is a homomorphism onto Z_2, so i is 0 iff the flips'
+    parities have a Z_2 potential on the dual graph.  A corner map
+    x -> P(x) ^ s shows the parity of s in x ^ (x's image) at any corner,
+    so each flip's is read at its ridge's first corner: none is built.
     """
-    g = Groupoid.from_complex(K)
-    for component in g.dual.components():
-        result = holonomy(g, min(component), require_connected=False)
-        if not all_in_even_subgroup(result.signed_generators):
-            return 1
-    return 0
+    dual = facet_adjacency(K)
+    firsts = [r[0] for r in _faces_of_dim(K.dim, K.dim - 1)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in K.cubes]
+    for (i, j, _), (pa, _) in zip(dual.edges, dual.positions):
+        x = firsts[pa]
+        label = (x ^ K.cubes[j].index(K.cubes[i][x])).bit_count() & 1
+        adj[i].append((j, label))
+        adj[j].append((i, label))
+    return int(z2_potential(len(adj), adj.__getitem__)[2] is not None)
 
 
 def locally_strongly_connected(K: SimplicialComplex | CubicalComplex) -> bool:

@@ -594,17 +594,3 @@ class SignedPerm:
         for i, (j, s) in enumerate(zip(self.perm.images, self.signs)):
             out |= ((idx >> i & 1) ^ (s < 0)) << j
         return out
-
-
-def signed_parity(s: SignedPerm) -> int:
-    """0 when the count of -1 signs is even, 1 otherwise."""
-    return sum(1 for x in s.signs if x == -1) % 2
-
-
-def all_in_even_subgroup(gens: Iterable[SignedPerm]) -> bool:
-    """True when every generator has even sign count.
-
-    Sign parity is a homomorphism onto Z_2, so even generators suffice
-    for the whole generated group to be even.
-    """
-    return all(signed_parity(g) == 0 for g in gens)

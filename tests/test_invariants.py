@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupoids.complexes import CubicalComplex, SimplicialComplex
+from groupoids.complexes import CubicalComplex, SimplicialComplex, z2_potential
 from groupoids.corpus import (
     cube_grid_patch,
     cube_skeleton,
@@ -14,7 +15,8 @@ from groupoids.corpus import (
     strip_complex,
     triangle_strip,
 )
-from groupoids.holonomy import NotConnected, holonomy_group
+from groupoids.groupoid import Groupoid
+from groupoids.holonomy import NotConnected, holonomy, holonomy_group
 from groupoids.invariants import (
     AdjacentVertices,
     NontrivialHolonomy,
@@ -198,3 +200,96 @@ def test_grid_subcomplexes_have_zero_parity_invariant():
     for item in random_corpus(seed=5, count=40):
         if item.kind in ("grid_subset", "cube3d_subset", "cube_skeleton"):
             assert i_invariant(item.complex) == 0, item.name
+
+
+# --- the Z_2-potential engine against the holonomy path it replaced ---
+
+def reference_i_invariant(K):
+    """i as it was computed before the engine: the flip groupoid, the
+    holonomy of each dual component, and the -1 signs of every loop."""
+    g = Groupoid.from_complex(K)
+    for component in g.dual.components():
+        result = holonomy(g, min(component), require_connected=False)
+        if any(s.signs.count(-1) % 2 for s in result.signed_generators):
+            return 1
+    return 0
+
+
+def _engine_cases():
+    for seed in range(6):
+        for item in random_corpus(seed, 800):
+            yield item.name, item.complex
+    for n in range(3, 42):
+        for twisted in (False, True):
+            yield f"strip{n}{'t' if twisted else ''}", strip_complex(n, twisted)
+    for d in range(2, 7):
+        for k in range(1, d):
+            yield f"skel{d}-{k}", cube_skeleton(d, k)[0]
+
+
+def test_i_invariant_matches_the_holonomy_path():
+    values = []
+    for name, K in _engine_cases():
+        values.append(i_invariant(K))
+        assert values[-1] == reference_i_invariant(K), name
+    assert sorted(set(values)) == [0, 1]
+
+
+def _scrambled(K, data):
+    """K with each cube's corners re-addressed by a drawn cube symmetry
+    and its vertices renamed: the same complex under other corner orders."""
+    k = K.dim
+    rename = data.draw(st.permutations(range(K.vertex_count)))
+    cubes = []
+    for cube in K.cubes:
+        axes = data.draw(st.permutations(range(k)))
+        flip = data.draw(st.integers(0, (1 << k) - 1))
+        cubes.append(tuple(rename[cube[sum((x >> i & 1) << a for i, a in enumerate(axes)) ^ flip]]
+                           for x in range(1 << k)))
+    return CubicalComplex(cubes)
+
+
+_SOURCES = ([strip_complex(n, t) for n in (3, 4, 5, 6) for t in (False, True)]
+            + [quotient_example(), grid_patch(3, 2)[0], cube_skeleton(4, 2)[0],
+               cube_skeleton(4, 3)[0], cube_grid_patch(2, 1, 2)[0],
+               CubicalComplex([(0, 1, 2, 3), (4, 5, 6, 7)])]
+            + [item.complex for item in random_corpus(11, 30)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SOURCES), st.data())
+def test_i_invariant_matches_the_holonomy_path_under_any_corner_order(K, data):
+    scrambled = _scrambled(K, data)
+    assert i_invariant(scrambled) == reference_i_invariant(scrambled) == i_invariant(K)
+
+
+def test_compare_invariants_builds_no_groupoid(monkeypatch):
+    def refuse(K):
+        raise AssertionError("compare_invariants built a groupoid")
+    monkeypatch.setattr(Groupoid, "from_complex", staticmethod(refuse))
+    assert compare_invariants(strip_complex(4, twisted=True)).i == 1
+    c = compare_invariants(quotient_example())
+    assert (c.i, c.nacl) == (0, 1)
+
+
+def _labelled(edges):
+    adj = {}
+    for u, v, label in edges:
+        adj.setdefault(u, []).append((v, label))
+        adj.setdefault(v, []).append((u, label))
+    return lambda u: adj.get(u, ())
+
+
+def test_z2_potential_scans_every_component_in_order():
+    # {0, 1} agrees; the triangle 2-3-4 has odd label sum, first broken at (3, 4)
+    parent, potential, conflict = z2_potential(
+        5, _labelled([(0, 1, 1), (2, 3, 1), (2, 4, 0), (3, 4, 0)]))
+    assert parent == {0: None, 1: 0, 2: None, 3: 2, 4: 2}
+    assert list(potential.items()) == [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)]
+    assert conflict == (3, 4)
+    # with both components broken, the first one's edge is reported
+    _, _, conflict = z2_potential(
+        6, _labelled([(0, 1, 1), (1, 2, 0), (0, 2, 0), (3, 4, 1), (4, 5, 1), (3, 5, 1)]))
+    assert conflict == (1, 2)
+    # an isolated node starts its own component at potential 0
+    assert z2_potential(2, _labelled([])) == ({0: None, 1: None}, {0: 0, 1: 0}, None)
