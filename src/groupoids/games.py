@@ -230,8 +230,8 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
 
     Objects are hole cells; the vertices of an object are the other
     cells, in increasing order, and stand for the pieces on them.  Dual
-    edge ``rid`` is board edge ``rid``, and the flip u -> v moves the
-    hole from u to v: it sends v to u and fixes every other cell.
+    edge ``rid`` is board edge ``rid``, (u, v) with u < v, and its flip
+    moves the hole from u to v: it sends v to u and fixes every other cell.
     Each of the n objects and each flip holds n - 1 slots, so a board
     with more than ``PUZZLE_SLOT_BUDGET`` slots n (n - 1) is refused
     with ``TooLarge`` before anything is built.
@@ -241,10 +241,9 @@ def puzzle_groupoid(board: Puzzle) -> Groupoid:
         raise TooLarge(f"a board of {n} cells exceeds the budget of "
                        f"{PUZZLE_SLOT_BUDGET} hole-piece slots")
     cells = tuple(range(n))
-    # cell y sits at slot y - (y > x) of object x
+    # board edges are sorted, x < y: cell y sits at slot y - 1 of object x
     return Groupoid.on_graph(tuple(cells[:u] + cells[u + 1:] for u in cells), board.edges,
-                             {(x, y): _exchange(n - 1, y - (y > x), x - (x > y))
-                              for e in board.edges for x, y in (e, e[::-1])})
+                             [_exchange(n - 1, y - 1, x) for x, y in board.edges])
 
 
 def _has_cut_vertex(adjacency: Sequence[Sequence[int]]) -> bool:

@@ -9,7 +9,7 @@ exactly parallel to the facet-flip picture; here the star plays the
 tangent space.
 
 ``validate_connection`` checks the tables in one pass over the graph's
-edges and reads each valid table as a slot tuple on the way;
+edges and reads each edge's valid table as a slot tuple on the way;
 ``connection_groupoid`` builds the associated ``Groupoid`` from those
 tuples: objects are the vertices, morphisms the star bijections along
 edges.  Its holonomy comes from ``holonomy.holonomy``, the engine that
@@ -64,12 +64,12 @@ class GraphConnection:
 class ConnectionReport:
     """The verdict of :func:`validate_connection`.  A valid connection
     also carries its ``stars``, the :func:`star` of every vertex, and its
-    ``flips``: each oriented edge (x, y) mapped to its table as a slot
-    tuple, which sends slot s of the star of x (its s-th edge,
-    ``stars[x][s]``) to slot ``flips[(x, y)][s]`` of the star of y."""
+    ``flips``: the table of each edge (x, y) = ``graph.edges[k]`` as a
+    slot tuple ``flips[k]``, which sends slot s of the star of x (its s-th
+    edge, ``stars[x][s]``) to slot ``flips[k][s]`` of the star of y."""
     ok: bool
     witness: str | None = None
-    flips: dict[OrientedEdge, tuple[int, ...]] | None = None
+    flips: tuple[tuple[int, ...], ...] | None = None
     stars: tuple[tuple[OrientedEdge, ...], ...] | None = None
 
     def __bool__(self) -> bool:
@@ -78,7 +78,7 @@ class ConnectionReport:
 
 def validate_connection(c: GraphConnection) -> ConnectionReport:
     """Check both axioms and bijectivity on every oriented edge, and read
-    each table as a slot tuple on the way.
+    the table of each edge of ``graph.edges`` as a slot tuple on the way.
 
     The witness is the first failure in this order: a missing table,
     over the edges (x, y) of ``graph.edges`` and then their reversals
@@ -97,7 +97,7 @@ def validate_connection(c: GraphConnection) -> ConnectionReport:
             return ConnectionReport(False, f"missing table for edge {e}")
     stars = tuple(star(c.graph, x) for x in range(c.graph.vertex_count))
     index = [dict(zip(edges_x, range(d))) for edges_x in stars]  # star edge -> its slot
-    identity, flips = tuple(range(d)), {}
+    identity, flips = tuple(range(d)), []
     for x, y in edges:
         table = nabla[(x, y)]
         try:
@@ -124,11 +124,11 @@ def validate_connection(c: GraphConnection) -> ConnectionReport:
             back = tuple(map(index[x].get, map(rev.get, stars[y])))
         if _mul(t, back) != identity:
             return ConnectionReport(False, f"tables at {(x, y)} and {(y, x)} are not inverse")
-        flips[(x, y)], flips[(y, x)] = t, back
+        flips.append(t)
     for x, y in edges:
         if len(nabla[(y, x)]) != d:
             return ConnectionReport(False, f"table domain wrong at {(y, x)}")
-    return ConnectionReport(True, flips=flips, stars=stars)
+    return ConnectionReport(True, flips=tuple(flips), stars=stars)
 
 
 def cycle_connection(n: int) -> GraphConnection:
@@ -163,7 +163,7 @@ def connection_groupoid(c: GraphConnection) -> Groupoid:
     :func:`validate_connection` pass.
 
     Objects are vertices, the vertices of an object are its star, dual
-    edge ``rid`` is ``graph.edges[rid]``, and the flip x -> y is the
+    edge ``rid`` is ``graph.edges[rid]`` = (x, y), and its flip is the
     table of (x, y) as a slot tuple.  Raises ``InvalidTable`` with the
     witness when a table breaks an axiom.
     """

@@ -15,10 +15,10 @@ symmetry because every `CubicalComplex` checks on construction that its
 cells meet in common faces matched by cube symmetries.
 
 Slot s of an object is its s-th vertex in ``object_vertices``, and a
-flip is stored as an image tuple over slots.  Composites follow the
-left-to-right convention of :mod:`permgroup`: a path written
-source-to-target multiplies its step tuples with ``_mul`` in reading
-order.
+flip is stored once per dual edge, as an image tuple over slots; the
+reverse flip is its inverse.  Composites follow the left-to-right
+convention of :mod:`permgroup`: a path written source-to-target
+multiplies its step tuples with ``_mul`` in reading order.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ class TransportPath:
 class Groupoid:
     """Objects plus the elementary-morphism store and dual multigraph.
 
-    ``flips[(u, v, rid)]`` sends slot s of u to slot ``flip[s]`` of v;
-    ``vertex_map`` gives it as a map of vertices.  Everything is
-    read-only.  ``corner_maps`` is set when objects are cubes (cubical
-    complexes and the built-in tribar): ``corner_maps[c][i]`` is the
-    vertex at flat corner index i of cube c.
+    ``flips`` holds one tuple per dual edge (u, v, rid), keyed as in
+    ``dual.edges``, which sends slot s of u to slot ``flip[s]`` of v;
+    ``flip`` reads either direction, ``vertex_map`` gives it as a map of
+    vertices.  Everything is read-only.  ``corner_maps`` is set when
+    objects are cubes (cubical complexes and the built-in tribar):
+    ``corner_maps[c][i]`` is the vertex at flat corner index i of cube c.
     """
 
     object_vertices: tuple[tuple, ...]
@@ -69,37 +70,40 @@ class Groupoid:
     def object_count(self) -> int:
         return len(self.object_vertices)
 
+    def flip(self, u: int, v: int, rid: int) -> tuple[int, ...]:
+        """The flip u -> v over ridge ``rid``: stored when (u, v, rid) is a
+        dual edge, else the inverse of the stored flip v -> u."""
+        step = self.flips.get((u, v, rid))
+        return _inv(self.flips[(v, u, rid)]) if step is None else step
+
     def vertex_map(self, u: int, v: int, rid: int) -> dict:
         """The flip u -> v over ridge ``rid`` as a map of vertices."""
         target = self.object_vertices[v]
-        return {x: target[s] for x, s in zip(self.object_vertices[u], self.flips[(u, v, rid)])}
+        return {x: target[s] for x, s in zip(self.object_vertices[u], self.flip(u, v, rid))}
 
     @staticmethod
     def on_graph(objects: tuple[tuple, ...], edges: tuple[tuple[int, int], ...],
-                 flips: dict[tuple[int, int], tuple[int, ...]]) -> "Groupoid":
-        """Objects joined along graph edges: dual edge ``rid`` is ``edges[rid]``,
-        which also names its ridge, and ``flips[(x, y)]`` is the flip x -> y."""
+                 flips: Sequence[tuple[int, ...]]) -> "Groupoid":
+        """Objects joined along graph edges: dual edge ``rid`` is ``edges[rid]``
+        = (x, y), which also names its ridge, and ``flips[rid]`` is its flip."""
         dual = DualMultigraph(len(objects), tuple((*e, rid) for rid, e in enumerate(edges)), edges)
-        return Groupoid(objects, dual, {(x, y, rid): flips[(x, y)] for a, b, rid in dual.edges
-                                        for x, y in ((a, b), (b, a))})
+        return Groupoid(objects, dual, dict(zip(dual.edges, flips)))
 
     @staticmethod
     def from_complex(K: SimplicialComplex | CubicalComplex) -> "Groupoid":
         """Every flip, read off the positions of each dual edge's ridge in
         its two facets (``DualMultigraph.positions``)."""
         dual = facet_adjacency(K)
-        flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
         if isinstance(K, SimplicialComplex):
             n = K.dim + 1
-            for (i, j, rid), (pa, pb) in zip(dual.edges, dual.positions):
-                flips[(i, j, rid)] = _exchange(n, pa, pb)
-                flips[(j, i, rid)] = _exchange(n, pb, pa)
+            flips = {e: _exchange(n, pa, pb) for e, (pa, pb) in zip(dual.edges, dual.positions)}
             return Groupoid(object_vertices=K.facets, dual=dual, flips=flips)
         ridges = _faces_of_dim(K.dim, K.dim - 1)
         # a ridge's first and last corners differ in its free bits alone
         axes = [((1 << K.dim) - 1) ^ r[0] ^ r[-1] for r in ridges]
         order = [tuple(sorted(range(len(c)), key=c.__getitem__)) for c in K.cubes]  # slot -> corner
         slots = [_inv(o) for o in order]
+        flips = {}
         for (i, j, rid), (pa, pb) in zip(dual.edges, dual.positions):
             # corner x of i goes to corner addr[x] of j: the two ridges'
             # corners pair by vertex, and each pair extends across the axes
@@ -109,9 +113,7 @@ class Groupoid:
             for x in ridges[pa]:
                 addr[x] = y = at[ci[x]]
                 addr[x ^ axis_i] = y ^ axis_j
-            flip = _mul(_mul(order[i], addr), slots[j])
-            flips[(i, j, rid)] = flip
-            flips[(j, i, rid)] = _inv(flip)
+            flips[(i, j, rid)] = _mul(_mul(order[i], addr), slots[j])
         return Groupoid(tuple(_mul(o, c) for o, c in zip(order, K.cubes)), dual, flips, K.cubes)
 
 
@@ -148,10 +150,10 @@ def transport(g: Groupoid, facets: Sequence[int],
     source = g.object_vertices[facets[0]]
     slots = tuple(range(len(source)))
     for u, v, r in zip(facets, facets[1:], ridges):
-        step = g.flips.get((u, v, r))
-        if step is None:
-            raise BrokenPath(f"no flip {u} -> {v} over ridge {r}")
-        slots = _mul(slots, step)
+        try:
+            slots = _mul(slots, g.flip(u, v, r))
+        except KeyError:
+            raise BrokenPath(f"no flip {u} -> {v} over ridge {r}") from None
     target = g.object_vertices[facets[-1]]
     return TransportPath(facets=facets, ridges=ridges,
                          bijection={x: target[s] for x, s in zip(source, slots)})
@@ -166,7 +168,7 @@ _TRIBAR_STEPS = (
     SignedPerm(Perm((1, 2, 0)), (1, 1, 1)),
     # B -> C: the same rotation
     SignedPerm(Perm((1, 2, 0)), (1, 1, 1)),
-    # C -> A: reflect x, swap y and z (still a rotation of the box)
+    # A -> C: reflect x, swap y and z (a rotation of the box, its own inverse)
     SignedPerm(Perm((0, 2, 1)), (-1, 1, 1)),
 )
 
@@ -180,10 +182,7 @@ def tribar_groupoid() -> Groupoid:
     """
     # each box lists its corners in increasing order, so slots are corners
     corners = tuple(tuple(range(8 * box, 8 * box + 8)) for box in range(3))
-    flips: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for (src, dst, rid), sp in zip(((0, 1, 0), (1, 2, 1), (2, 0, 2)), _TRIBAR_STEPS):
-        flips[(src, dst, rid)] = flip = tuple(map(sp.apply_index, range(8)))
-        flips[(dst, src, rid)] = _inv(flip)
-    return Groupoid(object_vertices=corners,
-                    dual=DualMultigraph(3, ((0, 1, 0), (1, 2, 1), (0, 2, 2)), ((), (), ())),
+    edges = ((0, 1, 0), (1, 2, 1), (0, 2, 2))
+    flips = {e: tuple(map(sp.apply_index, range(8))) for e, sp in zip(edges, _TRIBAR_STEPS)}
+    return Groupoid(object_vertices=corners, dual=DualMultigraph(3, edges, ((), (), ())),
                     flips=flips, corner_maps=corners)

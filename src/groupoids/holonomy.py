@@ -119,7 +119,7 @@ def spanning_tree(g: Groupoid, base: int):
         u = queue.popleft()
         for rid, v in g.dual.adjacency[u]:
             if v not in transports:
-                transports[v] = _mul(transports[u], g.flips[(u, v, rid)])
+                transports[v] = _mul(transports[u], g.flip(u, v, rid))
                 tree.add((min(u, v), max(u, v), rid))
                 queue.append(v)
     return tree, transports
@@ -200,7 +200,7 @@ def closed_path_oracle(g: Groupoid, base: int, max_len: int | None = None) -> fr
         if length == max_len:
             continue
         for rid, nxt in g.dual.adjacency[node]:
-            step = g.flips[(node, nxt, rid)]
+            step = g.flip(node, nxt, rid)
             stack.append((nxt, tuple(step[s] for s in slots), length + 1))
     return closure_small(found, degree=degree)
 

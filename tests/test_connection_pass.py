@@ -12,7 +12,9 @@ its tables were read in two batched lookups, kept verbatim: it reads
 every table item by item.  The batched reads must give the same
 verdict, witness and flips, or raise the same exception type, on
 mutations that put None, an int, a foreign oriented edge or a list in
-a forward or a reversed table.
+a forward or a reversed table.  Both references keep a flip for each
+oriented edge; the report keeps one per edge of ``graph.edges``, whose
+reverse is its inverse, so their flips are compared along those edges.
 """
 
 import random
@@ -33,7 +35,7 @@ from groupoids.graphconn import (
     validate_connection,
 )
 from groupoids.homcx import complete_graph
-from groupoids.permgroup import _mul
+from groupoids.permgroup import _inv, _mul
 
 
 def reference_validate(c: GraphConnection) -> ConnectionReport:
@@ -158,11 +160,13 @@ def _witness_kind(witness: str | None) -> str:
 
 
 def _assert_flips_are_the_tables(c: GraphConnection, flips) -> None:
+    """One flip per edge (a, b) of ``graph.edges``: it reads as the table of
+    (a, b), and its inverse as the table of (b, a)."""
     stars = [star(c.graph, x) for x in range(c.graph.vertex_count)]
     tables = connection_flips(c)
+    assert len(flips) == len(c.graph.edges)
     for rid, (a, b) in enumerate(c.graph.edges):
-        for x, y in ((a, b), (b, a)):
-            t = flips[(x, y)]
+        for x, y, t in ((a, b, flips[rid]), (b, a, _inv(flips[rid]))):
             assert dict(zip(stars[x], (stars[y][s] for s in t))) == tables[(x, y, rid)]
 
 
@@ -187,7 +191,8 @@ def test_valid_connections_read_their_tables_as_flips():
             assert report.ok and reference_validate(c).ok
             _assert_flips_are_the_tables(c, report.flips)
             g = connection_groupoid(c)
-            assert {(x, y): g.flips[(x, y, rid)] for x, y, rid in g.flips} == report.flips
+            assert g.dual.edges == tuple((*e, rid) for rid, e in enumerate(c.graph.edges))
+            assert g.flips == dict(zip(g.dual.edges, report.flips))
 
 
 def _outcome(validate, c: GraphConnection):
@@ -197,6 +202,17 @@ def _outcome(validate, c: GraphConnection):
     except Exception as e:  # the type of any exception is the outcome
         return type(e)
     return report.ok, report.witness, report.flips
+
+
+def _reference_outcome(c: GraphConnection):
+    """The outcome of ``item_reference_validate``, its flips read along
+    ``graph.edges`` once each reverse is checked to be the inverse."""
+    got = _outcome(item_reference_validate, c)
+    if isinstance(got, type) or got[2] is None:
+        return got
+    ok, witness, flips = got
+    assert all(flips[(y, x)] == _inv(flips[(x, y)]) for x, y in c.graph.edges)
+    return ok, witness, tuple(flips[e] for e in c.graph.edges)
 
 
 def _bad_value(rng, n):
@@ -231,7 +247,7 @@ def test_batched_reads_match_the_item_by_item_validator():
     outcomes = Counter()
     for c in _value_mutants(17, 6000):
         got = _outcome(validate_connection, c)
-        assert got == _outcome(item_reference_validate, c)
+        assert got == _reference_outcome(c)
         outcomes[got if isinstance(got, type) else _witness_kind(got[1])] += 1
     assert {TypeError, "valid", "domain", "image", "cross", "inverse"} <= set(outcomes), outcomes
 
@@ -246,7 +262,7 @@ def test_each_bad_value_matches_the_item_by_item_validator(value, reverse):
             edge = (y, x) if reverse else (x, y)
             for key in nabla[edge]:
                 bad = GraphConnection(c.graph, {**nabla, edge: {**nabla[edge], key: value}})
-                want = _outcome(item_reference_validate, bad)
+                want = _reference_outcome(bad)
                 assert _outcome(validate_connection, bad) == want
                 assert (want is TypeError) == isinstance(value, list)
 
@@ -260,7 +276,7 @@ def test_an_image_error_is_found_before_an_unhashable_reversed_value():
     nabla[(0, 1)][(0, 2)] = nabla[(0, 1)][(0, 3)]
     nabla[(1, 0)][(1, 2)] = [0, 2]
     bad = GraphConnection(c.graph, nabla)
-    assert _outcome(item_reference_validate, bad) == (False, "table image wrong at (0, 1)", None)
+    assert _reference_outcome(bad) == (False, "table image wrong at (0, 1)", None)
     assert _outcome(validate_connection, bad) == (False, "table image wrong at (0, 1)", None)
     nabla[(0, 1)] = dict(c.nabla[(0, 1)])
     assert _outcome(validate_connection, GraphConnection(c.graph, nabla)) is TypeError
@@ -271,13 +287,13 @@ def test_single_slot_stars_read_one_key():
     one-key path of the two reads."""
     c = rotation_connection(complete_graph(2))
     report = validate_connection(c)
-    assert report.flips == {(0, 1): (0,), (1, 0): (0,)}
+    assert report.flips == ((0,),)
     assert report.stars == (((0, 1),), ((1, 0),))
     for value in (None, (1, 1), (0, 1), [1, 0]):
         for edge in ((0, 1), (1, 0)):
             nabla = {**c.nabla, edge: {edge: value}}
             bad = GraphConnection(c.graph, nabla)
-            assert _outcome(validate_connection, bad) == _outcome(item_reference_validate, bad)
+            assert _outcome(validate_connection, bad) == _reference_outcome(bad)
 
 
 def test_the_report_carries_the_stars_it_read():

@@ -75,9 +75,9 @@ def renumbered_ridges(g: Groupoid, seed: int) -> tuple[Groupoid, list[int]]:
     ridges = [()] * len(new)
     for rid, ridge in enumerate(g.dual.ridges):
         ridges[new[rid]] = ridge
-    dual = DualMultigraph(g.object_count, tuple((i, j, new[rid]) for i, j, rid in g.dual.edges),
-                          tuple(ridges))
-    flips = {(u, v, new[rid]): flip for (u, v, rid), flip in g.flips.items()}
+    edges = tuple((i, j, new[rid]) for i, j, rid in g.dual.edges)
+    dual = DualMultigraph(g.object_count, edges, tuple(ridges))
+    flips = {e: g.flips[old] for e, old in zip(edges, g.dual.edges)}
     return Groupoid(g.object_vertices, dual, flips, g.corner_maps), new
 
 

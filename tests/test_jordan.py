@@ -45,11 +45,8 @@ def loops_groupoid(gens: list[Perm]) -> Groupoid:
     """Two objects on the same points, joined by an identity edge and one
     edge per generator: the holonomy loops at object 0 are the generators."""
     n = gens[0].degree
-    flips = {}
-    for rid, g in enumerate([Perm.identity(n), *gens]):
-        flips[(0, 1, rid)] = g.images
-        flips[(1, 0, rid)] = g.inverse().images
     edges = tuple((0, 1, rid) for rid in range(len(gens) + 1))
+    flips = {e: g.images for e, g in zip(edges, [Perm.identity(n), *gens])}
     return Groupoid(object_vertices=(tuple(range(n)),) * 2,
                     dual=DualMultigraph(2, edges, ((),) * len(edges)), flips=flips)
 
