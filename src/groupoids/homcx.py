@@ -163,11 +163,13 @@ def hom_complex(G: Graph, H: Graph) -> tuple[HomCell, ...]:
     """
     n, full = G.vertex_count, (1 << H.vertex_count) - 1
     check_budget(n, H.vertex_count)
+    if not n:  # an empty G has one assignment, the empty one
+        return (HomCell._of(()),)
     before = [[u for u in G.adjacency[i] if u < i] for i in range(n)]
     adj = H.adjacency_masks
     cells: list[HomCell] = []
     masks, allowed = [0] * n, [0] * n
-    i = 0 if n else -1
+    i = 0
     while i >= 0:
         if masks[i]:
             sub = (masks[i] - allowed[i]) & allowed[i]    # the next submask

@@ -127,22 +127,6 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each rotated to start at its minimum."""
-        seen = set()
-        out = []
-        for i in range(len(self.images)):
-            if i in seen or self.images[i] == i:
-                continue
-            cycle = [i]
-            j = self.images[i]
-            while j != i:
-                seen.add(j)
-                cycle.append(j)
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return out
-
     def order(self) -> int:
         return math.lcm(*_cycle_lengths(self.images))
 

@@ -131,6 +131,16 @@ def test_hom_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("g,h,cells", [("k0", "k3", 1), ("p0", "k3", 1), ("k0", "k0", 1),
+                                        ("k1", "k0", 0)])
+def test_hom_from_the_empty_graph_is_one_point(capsys, g, h, cells):
+    code, out = run(capsys, "--format", "json", "hom", "--g", g, "--h", h)
+    assert code == 0
+    results = json.loads(out)["results"]
+    want = ([1], 1) if cells else ([], 0)
+    assert (results["cells"], results["fvector"], results["euler"]) == (cells, *want)
+
+
 @pytest.mark.parametrize("g,report", [
     ("c5", "fvector,euler"),
     ("p3", "fvector,euler"),

@@ -4,6 +4,7 @@ the odd-cycle witness check and the stdlib-only rule."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -223,3 +224,56 @@ def test_public_api_is_used_outside_the_tests():
     assert _unused_public_names(set(PAPER_API)) == []
     # each allowlisted name exists and still needs its entry
     assert set(PAPER_API) <= {n.rpartition(".")[2] for n in _unused_public_names(set())}
+
+
+# Paper concepts kept on purpose as class members, though only the tests use them.
+PAPER_MEMBERS = {
+    "RankedPoset.depth": "the height of the face poset, the dimension of its complex",
+    "RankedPoset.down_set": "the faces below a face, the closed cell it spans",
+    "RankedPoset.maximal_elements": "the top cells of a face poset, the objects of its groupoid",
+    "HolonomyResult.vertex_bijections": "each holonomy loop as a self-map of the base's vertices",
+    "HolonomyResult.is_proper_subgroup_of_outer":
+        "transport realizes fewer symmetries than the object has: the obstruction",
+    "HomCell.eta": "a hom-complex cell as the paper writes it, a vertex set per vertex of G",
+    "TwoColoring.is_proper": "a proper 2-colouring of the 1-skeleton certifies nacl = 0",
+    "SignedPerm.identity": "the identity of a cube's outer symmetry group, the signed permutations",
+    "SignedPerm.inverse": "inverses in a cube's outer symmetry group",
+}
+
+
+def _attributes(tree: ast.AST) -> Counter:
+    """How often a tree reads each attribute name."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _unused_public_members() -> list[str]:
+    """Public methods and properties of package classes whose name no
+    package code outside their own body, bench or script reads as an
+    attribute.  Only the name is matched, so a member counts as used when
+    a member of that name is read on any object."""
+    root = SRC.parents[1]
+    paths = [*SRC.glob("*.py"), *(root / "bench").glob("*.py"), *(root / "scripts").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    everywhere = sum(map(_attributes, trees.values()), Counter())
+    unused = []
+    for path, tree in sorted(trees.items()):
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not node.name.startswith("_") \
+                        and everywhere[node.name] == _attributes(node)[node.name]:
+                    unused.append(f"{cls.name}.{node.name}")
+    return unused
+
+
+def test_public_members_are_used_outside_the_tests():
+    """A public method or property that only the tests call is dead code;
+    delete it, or add it to PAPER_MEMBERS with the reason it stays."""
+    unused = _unused_public_members()
+    assert sorted(set(unused) - set(PAPER_MEMBERS)) == []
+    # each allowlisted member exists and still needs its entry
+    assert set(PAPER_MEMBERS) <= set(unused)

@@ -17,19 +17,21 @@ checked against a flip built on its own.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from pathlib import Path
 
 import pytest
+from test_jordan import random_connection
 
 from groupoids.complexes import CubicalComplex, SimplicialComplex
-from groupoids.corpus import bundled_dir, random_corpus
+from groupoids.corpus import bundled_dir, cube_skeleton, random_corpus
 from groupoids.games import Puzzle, grid_puzzle, puzzle_groupoid
 from groupoids.graphconn import connection_groupoid, cycle_connection, rotation_connection
 from groupoids.groupoid import Groupoid, tribar_groupoid
 from groupoids.holonomy import holonomy
 from groupoids.homcx import complete_graph, cycle_graph
-from groupoids.permgroup import Perm, SignedPerm
+from groupoids.permgroup import Perm, SignedPerm, _mul
 from groupoids.serialize import load_complex, load_json, parse_connection
 
 TESTS = Path(__file__).parent
@@ -268,3 +270,34 @@ def test_cases_cover_every_kind():
     kinds = {type(K) for _, K in _complexes()}
     assert kinds == {SimplicialComplex, CubicalComplex, Groupoid}
     assert len(CASES) > 400
+
+
+def _one_way_cases():
+    """A groupoid from every constructor: bundled, scrambled, random and
+    cube-skeleton complexes, boards, random connections and the tribar."""
+    paths = [p for p in sorted(bundled_dir().glob("*.json"))
+             if not p.name.endswith(("-state.json", "-connection.json"))]
+    paths += sorted((TESTS / "complexes").glob("*-scrambled.json"))
+    sources = [load_complex(p) for p in paths] + [item.complex for item in random_corpus(0, 800)]
+    sources += [cube_skeleton(d, k)[0] for d in range(2, 6) for k in range(1, d)]
+    for K in sources:
+        yield K if isinstance(K, Groupoid) else Groupoid.from_complex(K)
+    boards = dict(_boards())
+    for board in (grid_puzzle(4, 4), boards["cycle8"], boards["theta0"], boards["cut-vertex"]):
+        yield puzzle_groupoid(board)
+    rng = random.Random(29)
+    for n in range(4, 13):
+        yield connection_groupoid(random_connection(n, rng))
+    yield tribar_groupoid()
+
+
+def test_each_flip_is_stored_once_and_its_reverse_is_its_inverse():
+    count = 0
+    for g in _one_way_cases():
+        assert len(g.flips) == len(g.dual.edges)
+        assert set(g.flips) <= set(g.dual.edges)
+        for i, j, rid in g.dual.edges:
+            identity = tuple(range(len(g.object_vertices[i])))
+            assert _mul(g.flip(i, j, rid), g.flip(j, i, rid)) == identity
+        count += 1
+    assert count > 800

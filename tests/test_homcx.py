@@ -57,6 +57,17 @@ def test_hom_into_edgeless_graph_is_empty():
     assert f_vector(cells) == ()
 
 
+def test_hom_from_the_empty_graph_is_one_point():
+    """A cell picks a nonempty H-vertex set for each vertex of G, so an
+    empty G has one cell, the empty assignment, whatever H is."""
+    for H in (complete_graph(3), Graph(0, ())):
+        cells = hom_complex(Graph(0, ()), H)
+        assert cells == (HomCell(()),)
+        assert f_vector(cells) == (1,)
+        assert euler_characteristic(cells) == 1
+    assert hom_complex(complete_graph(1), Graph(0, ())) == ()
+
+
 @pytest.mark.parametrize("m,chi", [(3, 0), (4, 2), (5, 0), (6, 2)])
 def test_hom_spheres(m, chi):
     assert euler_characteristic(hom_complex(K2, complete_graph(m))) == chi
