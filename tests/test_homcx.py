@@ -182,4 +182,4 @@ def test_deep_graph_needs_no_recursion():
     assert cell.masks == (1,) * 4000 and cell.dim == 0
     path = Graph(3000, tuple((i, i + 1) for i in range(2999)))
     assert hom_complex(path, graph_by_name("k1")) == ()
-    assert hom_complex(Graph(0, ()), K2) == ()
+    assert hom_complex(Graph(0, ()), K2) == (HomCell(()),)

@@ -102,8 +102,7 @@ def ref_hom_complex(G: Graph, H: Graph, budget: int = 10 ** 7) -> tuple[RefCell,
             rec(i + 1)
             assignment.pop()
 
-    if G.vertex_count:
-        rec(0)
+    rec(0)  # an empty G gets the one empty assignment
     cells.sort(key=lambda c: c.support_masks())
     return tuple(cells)
 
@@ -236,4 +235,4 @@ def test_check_budget_is_the_candidate_count_rule(monkeypatch, budget):
 def test_large_graphs_within_the_candidate_budget_enumerate():
     # only the CLI refuses graphs too large to build; built ones are enumerated
     assert hom_complex(path_graph(4000), complete_graph(1)) == ()
-    assert hom_complex(Graph(0, ()), Graph(4000, ())) == ()
+    assert hom_complex(Graph(0, ()), Graph(4000, ())) == (HomCell(()),)
