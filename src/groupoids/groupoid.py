@@ -151,9 +151,10 @@ def transport(g: Groupoid, facets: Sequence[int],
     slots = tuple(range(len(source)))
     for u, v, r in zip(facets, facets[1:], ridges):
         try:
-            slots = _mul(slots, g.flip(u, v, r))
+            step = g.flip(u, v, r)
         except KeyError:
             raise BrokenPath(f"no flip {u} -> {v} over ridge {r}") from None
+        slots = _mul(slots, step)
     target = g.object_vertices[facets[-1]]
     return TransportPath(facets=facets, ridges=ridges,
                          bijection={x: target[s] for x, s in zip(source, slots)})

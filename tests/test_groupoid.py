@@ -205,6 +205,9 @@ def test_broken_path():
         transport(g, [0, 3])
     with pytest.raises(BrokenPath):
         transport(g, [])
+    # an explicit ridge id that joins the two facets in neither direction
+    with pytest.raises(BrokenPath, match="no flip 0 -> 1"):
+        transport(g, [0, 1], [len(g.dual.ridges)])
 
 
 def test_tribar_loop_is_order_four():
